@@ -48,7 +48,8 @@ use crate::Engine;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_trace::{GaugeSample, TraceConfig, TraceEvent, TraceTrack, Tracer};
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 // ---------------------------------------------------------------------------
 // Router-visible replica state.
@@ -1126,1143 +1127,132 @@ impl ClusterSim {
     /// rule). Cost is O(events) heap operations instead of two manually
     /// merged queues with ad-hoc peeking.
     ///
-    /// Differential oracle: the retained
-    /// [`run_lockstep_reference`](Self::run_lockstep_reference) must
-    /// produce a bit-identical [`ClusterReport`] on every configuration;
-    /// `crates/serve/tests/fleet_equivalence.rs` pins that.
+    /// The per-event handlers (crash, restart, brownout, autoscaler tick,
+    /// arrival) are shared with
+    /// [`run_lockstep_reference`](Self::run_lockstep_reference), which
+    /// differs from this method only in its queue merge. That oracle must
+    /// produce a bit-identical [`ClusterReport`] on every configuration
+    /// (`crates/serve/tests/fleet_equivalence.rs`); the shared handlers
+    /// themselves are guarded by the golden chaos pin in
+    /// `crates/serve/tests/determinism_pins.rs`.
     pub fn run(&mut self, trace: &Trace) -> ClusterReport {
         const CLASS_CHAOS: EventClass = 0;
         const CLASS_ARRIVAL: EventClass = 1;
         enum FrontEvent {
-            /// Index into the action table.
-            Chaos(usize),
+            /// A chaos action firing.
+            Chaos(ChaosAction),
             /// A request (re-)entering the front end.
             Arrival(Pending),
         }
-        let n = self.config.n_replicas;
-        let chaos = self.chaos.clone();
-        let initial_live = chaos
-            .as_ref()
-            .and_then(|c| c.initial_replicas)
-            .unwrap_or(n)
-            .clamp(1, n);
-        let mut states = self.build_states(trace, initial_live);
-
+        let mut front = FrontEnd::new(self, trace);
         let mut events: EventQueue<FrontEvent> = EventQueue::new();
         // Arrivals still pending (deferred/parked re-entries included):
         // the autoscaler keeps ticking only while work remains.
         let mut arrivals_pending = 0usize;
-        for (seq, req) in trace.requests.iter().enumerate() {
-            let p = Pending {
-                req: req.clone(),
-                delay: 0.0,
-                defers: 0,
-                seq: seq as u64,
-            };
-            events.push_class(p.arrival(), CLASS_ARRIVAL, FrontEvent::Arrival(p));
-            arrivals_pending += 1;
-        }
-        let mut next_seq = trace.len() as u64;
-        let mut routing = RoutingStats {
-            per_replica_requests: vec![0; n],
-            ..RoutingStats::default()
-        };
-        let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut frontend_tracer = match self.trace_config {
-            Some(cfg) => Tracer::enabled(cfg),
-            None => Tracer::disabled(),
-        };
-        let mut migrations_seen = self.router.migrations();
-
-        let mut chaos_stats = chaos.as_ref().map(|_| ChaosStats {
-            min_live: initial_live,
-            max_live: initial_live,
-            ..ChaosStats::default()
-        });
-        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
-        let mut chaos_actions: Vec<ChaosAction> = Vec::new();
-        let horizon = trace
-            .requests
-            .iter()
-            .map(|r| r.arrival)
-            .fold(0.0f64, f64::max);
-        if let Some(c) = &chaos {
-            for ev in c.plan.events() {
-                let action = match ev.kind {
-                    FaultKind::Crash {
-                        replica,
-                        restart_after_s,
-                    } => ChaosAction::Crash {
-                        replica,
-                        restart_after_s,
-                    },
-                    FaultKind::Degrade { replica, brownout } => {
-                        if replica < n {
-                            replica_brownouts[replica].push(brownout);
-                        }
-                        ChaosAction::Degrade { replica }
+        loop {
+            for work in front.scheduled.drain(..) {
+                match work {
+                    Scheduled::Arrival(p) => {
+                        arrivals_pending += 1;
+                        events.push_class(p.arrival(), CLASS_ARRIVAL, FrontEvent::Arrival(p));
                     }
-                };
-                let idx = chaos_actions.len();
-                chaos_actions.push(action);
-                events.push_class(ev.at.max(0.0), CLASS_CHAOS, FrontEvent::Chaos(idx));
-            }
-            if let Some(scaler) = c.autoscaler {
-                let idx = chaos_actions.len();
-                chaos_actions.push(ChaosAction::Tick);
-                events.push_class(
-                    scaler.interval_s.max(1e-3),
-                    CLASS_CHAOS,
-                    FrontEvent::Chaos(idx),
-                );
-            }
-            frontend_tracer.gauge(|| GaugeSample {
-                at: 0.0,
-                live_replicas: initial_live,
-                ..GaugeSample::default()
-            });
-        }
-        let n_rollouts = chaos.as_ref().map_or(0, |c| c.rollouts.len());
-        let mut rollout_started = vec![false; n_rollouts];
-        let mut rollout_done = vec![false; n_rollouts];
-        let mut chaos_rng =
-            dz_tensor::Rng::seeded(chaos.as_ref().map_or(0, |c| c.seed) ^ 0xD17E_C4A0);
-        let mut last_scale_at = f64::NEG_INFINITY;
-
-        while let Some((t, _class, event)) = events.pop_classed() {
-            let mut p = match event {
-                FrontEvent::Chaos(idx) => {
-                    let stats = chaos_stats.as_mut().expect("chaos actions imply config");
-                    match chaos_actions[idx] {
-                        ChaosAction::Crash {
-                            replica,
-                            restart_after_s,
-                        } => {
-                            if replica < n && states[replica].alive {
-                                let lost = states[replica].crash(t);
-                                stats.crashes += 1;
-                                stats.lost_in_flight += lost.len();
-                                let lost_n = lost.len();
-                                frontend_tracer.emit(|| TraceEvent::ReplicaDown {
-                                    replica,
-                                    lost: lost_n,
-                                    at: t,
-                                });
-                                // Lost in-flight requests re-enter the
-                                // front end at the crash instant; the
-                                // wasted wait becomes queue time from
-                                // their viewpoint.
-                                for (req, global_id, delay, _) in lost {
-                                    let orig_arrival = req.arrival - delay;
-                                    let p = Pending {
-                                        req: Request {
-                                            arrival: orig_arrival,
-                                            id: global_id,
-                                            ..req
-                                        },
-                                        delay: t - orig_arrival,
-                                        defers: 0,
-                                        seq: next_seq,
-                                    };
-                                    next_seq += 1;
-                                    events.push_class(
-                                        p.arrival(),
-                                        CLASS_ARRIVAL,
-                                        FrontEvent::Arrival(p),
-                                    );
-                                    arrivals_pending += 1;
-                                }
-                                if let Some(d) = restart_after_s {
-                                    states[replica].pending_restart = true;
-                                    let idx = chaos_actions.len();
-                                    chaos_actions.push(ChaosAction::Restart { replica });
-                                    events.push_class(
-                                        t + d.max(0.0),
-                                        CLASS_CHAOS,
-                                        FrontEvent::Chaos(idx),
-                                    );
-                                }
-                                let live = states.iter().filter(|s| s.alive).count();
-                                stats.min_live = stats.min_live.min(live);
-                                frontend_tracer.gauge(|| GaugeSample {
-                                    at: t,
-                                    live_replicas: live,
-                                    ..GaugeSample::default()
-                                });
-                            }
-                        }
-                        ChaosAction::Restart { replica } => {
-                            if replica < n && !states[replica].alive {
-                                states[replica].revive(t);
-                                stats.restarts += 1;
-                                frontend_tracer.emit(|| TraceEvent::ReplicaUp { replica, at: t });
-                                let live = states.iter().filter(|s| s.alive).count();
-                                stats.max_live = stats.max_live.max(live);
-                                frontend_tracer.gauge(|| GaugeSample {
-                                    at: t,
-                                    live_replicas: live,
-                                    ..GaugeSample::default()
-                                });
-                            }
-                        }
-                        ChaosAction::Degrade { replica } => {
-                            if replica < n {
-                                stats.brownouts += 1;
-                            }
-                        }
-                        ChaosAction::Tick => {
-                            let scaler = chaos
-                                .as_ref()
-                                .and_then(|c| c.autoscaler)
-                                .expect("tick implies autoscaler");
-                            let live_ids: Vec<usize> =
-                                (0..n).filter(|&r| states[r].alive).collect();
-                            // An empty live set is infinite pressure:
-                            // bring anything available back immediately.
-                            let mean_backlog = if live_ids.is_empty() {
-                                f64::INFINITY
-                            } else {
-                                live_ids
-                                    .iter()
-                                    .map(|&r| (states[r].busy_until - t).max(0.0))
-                                    .sum::<f64>()
-                                    / live_ids.len() as f64
-                            };
-                            if t - last_scale_at >= scaler.cooldown_s {
-                                match scaler.decide(live_ids.len(), mean_backlog) {
-                                    1 => {
-                                        let spare = (0..n).find(|&r| {
-                                            !states[r].alive && !states[r].pending_restart
-                                        });
-                                        if let Some(r) = spare {
-                                            states[r].revive(t);
-                                            stats.scale_ups += 1;
-                                            last_scale_at = t;
-                                            frontend_tracer
-                                                .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
-                                            let live = live_ids.len() + 1;
-                                            stats.max_live = stats.max_live.max(live);
-                                            frontend_tracer.gauge(|| GaugeSample {
-                                                at: t,
-                                                live_replicas: live,
-                                                ..GaugeSample::default()
-                                            });
-                                        }
-                                    }
-                                    -1 => {
-                                        // Drain the emptiest live replica:
-                                        // it stops receiving traffic but
-                                        // keeps (and finishes) its
-                                        // in-flight work.
-                                        let victim = live_ids.iter().copied().min_by(|&a, &b| {
-                                            states[a]
-                                                .busy_until
-                                                .total_cmp(&states[b].busy_until)
-                                                .then(a.cmp(&b))
-                                        });
-                                        if let Some(r) = victim {
-                                            states[r].alive = false;
-                                            stats.scale_downs += 1;
-                                            last_scale_at = t;
-                                            frontend_tracer.emit(|| TraceEvent::ScaleDown {
-                                                replica: r,
-                                                at: t,
-                                            });
-                                            let live = live_ids.len() - 1;
-                                            stats.min_live = stats.min_live.min(live);
-                                            frontend_tracer.gauge(|| GaugeSample {
-                                                at: t,
-                                                live_replicas: live,
-                                                ..GaugeSample::default()
-                                            });
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                            // Keep ticking while there is work left to
-                            // serve.
-                            if arrivals_pending > 0 || t < horizon {
-                                let idx = chaos_actions.len();
-                                chaos_actions.push(ChaosAction::Tick);
-                                events.push_class(
-                                    t + scaler.interval_s.max(1e-3),
-                                    CLASS_CHAOS,
-                                    FrontEvent::Chaos(idx),
-                                );
-                            }
-                        }
+                    Scheduled::Chaos { at, action } => {
+                        events.push_class(at, CLASS_CHAOS, FrontEvent::Chaos(action));
                     }
-                    continue;
                 }
+            }
+            let Some((t, _class, event)) = events.pop_classed() else {
+                break;
+            };
+            match event {
+                FrontEvent::Chaos(action) => front.fire(t, action, arrivals_pending > 0),
                 FrontEvent::Arrival(p) => {
                     arrivals_pending -= 1;
-                    p
-                }
-            };
-            let now = p.arrival();
-
-            // Rolling rollouts: a seeded, growing fraction of the v1
-            // model's traffic is remapped to its v2 delta.
-            if let Some(c) = &chaos {
-                for (i, ro) in c.rollouts.iter().enumerate() {
-                    let frac = ro.fraction_at(now);
-                    if frac > 0.0 && !rollout_started[i] {
-                        rollout_started[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac,
-                            at: now,
-                        });
-                    }
-                    if p.req.model == ro.model && frac > 0.0 && chaos_rng.bernoulli(frac) {
-                        p.req.model = ro.v2;
-                        chaos_stats
-                            .as_mut()
-                            .expect("rollouts imply chaos config")
-                            .rollout_remapped += 1;
-                    }
-                    if frac >= 1.0 && !rollout_done[i] {
-                        rollout_done[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac: 1.0,
-                            at: now,
-                        });
-                    }
-                }
-            }
-
-            for state in &mut states {
-                state.prune(now);
-            }
-            let mut views: Vec<ReplicaView> = states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    let mut v = s.view(r, now, p.req.model);
-                    // A browned-out channel inflates the router's load
-                    // estimates: cold loads ride disk, decode rides PCIe.
-                    let (disk_rate, pcie_rate) = brownout_rates(&replica_brownouts[r], now);
-                    v.cold_load_s /= disk_rate;
-                    v.warm_load_s /= pcie_rate;
-                    v
-                })
-                .collect();
-            if !self.model_needs_delta(p.req.model) {
-                // Non-delta variants (base weights, MB-scale adapters) are
-                // resident on every live replica: the router sees them as
-                // warm everywhere and charges no swap-in.
-                for v in &mut views {
-                    v.warm = true;
-                    v.decoded = true;
-                    v.cold_load_s = 0.0;
-                    v.warm_load_s = 0.0;
-                }
-            }
-            let live_now = views.iter().filter(|v| v.alive).count();
-            if let Some(stats) = chaos_stats.as_mut() {
-                stats.min_live = stats.min_live.min(live_now);
-                stats.max_live = stats.max_live.max(live_now);
-            }
-
-            // SLO-aware admission: Batch requests defer, then shed, when
-            // even the least-loaded *live* replica is saturated (a fleet
-            // with zero live capacity counts as infinitely deep).
-            if let Some(adm) = &self.config.admission {
-                if adm.slo.class_of(p.req.model) == SloClass::Batch {
-                    let min_depth = views
-                        .iter()
-                        .filter(|v| v.alive)
-                        .map(|v| v.queue_depth)
-                        .min()
-                        .unwrap_or(usize::MAX);
-                    if min_depth >= adm.defer_depth && p.defers < adm.max_defers {
-                        routing.defer_events += 1;
-                        frontend_tracer.emit(|| TraceEvent::Defer {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let deferred = Pending {
-                            delay: p.delay + adm.defer_s,
-                            defers: p.defers + 1,
-                            seq: next_seq,
-                            req: p.req,
-                        };
-                        next_seq += 1;
-                        events.push_class(
-                            deferred.arrival(),
-                            CLASS_ARRIVAL,
-                            FrontEvent::Arrival(deferred),
-                        );
-                        arrivals_pending += 1;
-                        continue;
-                    }
-                    if min_depth >= adm.shed_depth {
-                        routing.shed += 1;
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class: SloClass::Batch,
-                        });
-                        continue;
-                    }
-                }
-            }
-
-            // Zero effective capacity (every replica down or draining):
-            // park the request until the next capacity event — a
-            // scheduled restart or an autoscaler tick that could
-            // activate a spare. If nothing will ever bring capacity
-            // back, shed instead of looping: graceful degradation, not
-            // a hang.
-            if live_now == 0 {
-                let can_scale_up = chaos
-                    .as_ref()
-                    .and_then(|c| c.autoscaler)
-                    .is_some_and(|s| s.max_replicas > 0)
-                    && states.iter().any(|s| !s.alive && !s.pending_restart);
-                let next_up = events
-                    .iter()
-                    .filter_map(|(at, _, ev)| match ev {
-                        FrontEvent::Chaos(idx) => match chaos_actions[*idx] {
-                            ChaosAction::Restart { .. } => Some(at),
-                            ChaosAction::Tick if can_scale_up => Some(at),
-                            _ => None,
-                        },
-                        _ => None,
-                    })
-                    .fold(None, |acc: Option<f64>, t| {
-                        Some(acc.map_or(t, |a| a.min(t)))
+                    let pending_chaos = events.iter().filter_map(|(at, _, ev)| match ev {
+                        FrontEvent::Chaos(action) => Some((at, *action)),
+                        FrontEvent::Arrival(_) => None,
                     });
-                match next_up {
-                    Some(t_up) if t_up > now => {
-                        let parked = Pending {
-                            delay: t_up - p.req.arrival,
-                            seq: next_seq,
-                            ..p
-                        };
-                        next_seq += 1;
-                        events.push_class(
-                            parked.arrival(),
-                            CLASS_ARRIVAL,
-                            FrontEvent::Arrival(parked),
-                        );
-                        arrivals_pending += 1;
-                    }
-                    _ => {
-                        routing.shed += 1;
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.shed_no_capacity += 1;
-                        }
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let class = self
-                            .config
-                            .admission
-                            .as_ref()
-                            .map(|a| a.slo.class_of(p.req.model))
-                            .unwrap_or(SloClass::Batch);
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class,
-                        });
-                    }
-                }
-                continue;
-            }
-
-            let r = self.router.route(&p.req, &views);
-            assert!(r < n, "router returned replica {r} of {n}");
-            assert!(views[r].alive, "router selected dead replica {r}");
-            let migrations_now = self.router.migrations();
-            if migrations_now > migrations_seen {
-                let count = migrations_now - migrations_seen;
-                frontend_tracer.emit(|| TraceEvent::Migrate { count, at: now });
-                migrations_seen = migrations_now;
-            }
-            let warm = views[r].warm;
-            if warm {
-                routing.warm_routed += 1;
-                // A warm hit on a prewarmed entry rewards the hint that
-                // placed it (counted once per prewarm).
-                if states[r].prefetched.remove(&p.req.model) {
-                    routing.prefetch_hits += 1;
-                }
-            } else {
-                routing.cold_routed += 1;
-                if views.iter().any(|v| v.warm) {
-                    routing.placement_misses += 1;
+                    front.arrival(self, p, pending_chaos);
                 }
             }
-            routing.per_replica_requests[r] += 1;
-            // Apply the router's prefetch hints: prewarm the predicted
-            // caches and, when store-bound, the real ones (budgeted).
-            if let Some(pf) = self.config.prefetch {
-                for hint in self
-                    .router
-                    .prefetch_hints(&p.req, &views, r)
-                    .into_iter()
-                    .take(pf.max_hints_per_decision)
-                {
-                    if hint.replica >= n {
-                        continue;
-                    }
-                    // Hint budget is for GB-scale deltas only; adapters
-                    // and base weights need no placement.
-                    if !self.model_needs_delta(hint.model) {
-                        continue;
-                    }
-                    // A hint aimed at a dead replica is dropped, not
-                    // leaked into its predicted (or real) cache.
-                    if !views[hint.replica].alive {
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.dropped_hints += 1;
-                        }
-                        continue;
-                    }
-                    routing.prefetch_hints += 1;
-                    if states[hint.replica].prefetch_warm(hint.model) {
-                        routing.prefetch_issued += 1;
-                        if let Some(bindings) = self.bindings.as_mut() {
-                            let binding = &mut bindings[hint.replica];
-                            if let Some(id) = binding.artifact_of(hint.model).copied() {
-                                let _ = binding.store_mut().prefetch(&[id], pf.budget_bytes);
-                            }
-                        }
-                    }
-                }
-            }
-            let state = &mut states[r];
-            let est = self.costs[r].prefill_time(p.req.prompt_tokens)
-                + p.req.output_tokens as f64 * state.per_token_s
-                + if warm { 0.0 } else { views[r].cold_load_s };
-            if self.model_needs_delta(p.req.model) {
-                // Adapter/base models must not occupy predicted
-                // delta-warm-set capacity.
-                state.touch_used(p.req.model);
-            }
-            state.charge(now, est);
-            let est_finish = state.busy_until;
-            let mut admitted = p.req.clone();
-            admitted.arrival = now;
-            state
-                .assigned
-                .push((admitted, p.req.id, p.delay, est_finish));
         }
-
-        self.replay_and_report(
-            trace,
-            states,
-            routing,
-            shed,
-            chaos_stats,
-            frontend_tracer,
-            &replica_brownouts,
-        )
+        self.replay_and_report(trace, front)
     }
 
     /// The original lockstep front end — two manually merged time-ordered
     /// queues (arrivals and chaos actions) with ad-hoc peeking — retained
-    /// **verbatim** as the executable oracle for the event-driven
-    /// [`run`](Self::run). Both share the state-building and replay
-    /// phases; the merge logic under differential test is exactly what
-    /// [`run`](Self::run) rewrote.
+    /// as the executable oracle for the event-driven [`run`](Self::run).
+    /// Both drive the same per-event handlers and share the
+    /// state-building and replay phases; this method differs from
+    /// [`run`](Self::run) only in its queue merge, which is exactly the
+    /// logic [`run`](Self::run) rewrote and the differential suite checks.
     pub fn run_lockstep_reference(&mut self, trace: &Trace) -> ClusterReport {
-        let n = self.config.n_replicas;
-        let chaos = self.chaos.clone();
-        let initial_live = chaos
-            .as_ref()
-            .and_then(|c| c.initial_replicas)
-            .unwrap_or(n)
-            .clamp(1, n);
-        let mut states = self.build_states(trace, initial_live);
-
-        // Front-end loop: requests in time order, deferred ones re-queued.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
-            std::collections::BinaryHeap::new();
+        let mut front = FrontEnd::new(self, trace);
+        // Arrivals keyed by (time bits, seq), their requests kept aside;
+        // chaos actions keyed by (time bits, index into the action table).
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut pending: HashMap<u64, Pending> = HashMap::new();
-        for (seq, req) in trace.requests.iter().enumerate() {
-            let p = Pending {
-                req: req.clone(),
-                delay: 0.0,
-                defers: 0,
-                seq: seq as u64,
-            };
-            heap.push(std::cmp::Reverse(p.key()));
-            pending.insert(seq as u64, p);
-        }
-        let mut next_seq = trace.len() as u64;
-        let mut routing = RoutingStats {
-            per_replica_requests: vec![0; n],
-            ..RoutingStats::default()
-        };
-        let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut frontend_tracer = match self.trace_config {
-            Some(cfg) => Tracer::enabled(cfg),
-            None => Tracer::disabled(),
-        };
-        let mut migrations_seen = self.router.migrations();
-
-        // Chaos machinery: an absolute-time action queue interleaved
-        // with the request stream (faults fire *between* arrivals, in
-        // time order), per-replica brownout schedules handed to the
-        // replay engines, and a seeded RNG for rollout coin flips. All
-        // of it is independent of tracing, so a traced chaos run stays
-        // bit-identical in metrics to an untraced one.
-        let mut chaos_stats = chaos.as_ref().map(|_| ChaosStats {
-            min_live: initial_live,
-            max_live: initial_live,
-            ..ChaosStats::default()
-        });
-        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
         let mut chaos_actions: Vec<ChaosAction> = Vec::new();
-        let mut chaos_q: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut chaos_seq = 0u64;
-        fn push_chaos(
-            q: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-            actions: &mut Vec<ChaosAction>,
-            seq: &mut u64,
-            at: f64,
-            action: ChaosAction,
-        ) {
-            let idx = actions.len();
-            actions.push(action);
-            q.push(std::cmp::Reverse((at.max(0.0).to_bits(), *seq, idx)));
-            *seq += 1;
-        }
-        let horizon = trace
-            .requests
-            .iter()
-            .map(|r| r.arrival)
-            .fold(0.0f64, f64::max);
-        if let Some(c) = &chaos {
-            for ev in c.plan.events() {
-                match ev.kind {
-                    FaultKind::Crash {
-                        replica,
-                        restart_after_s,
-                    } => push_chaos(
-                        &mut chaos_q,
-                        &mut chaos_actions,
-                        &mut chaos_seq,
-                        ev.at,
-                        ChaosAction::Crash {
-                            replica,
-                            restart_after_s,
-                        },
-                    ),
-                    FaultKind::Degrade { replica, brownout } => {
-                        if replica < n {
-                            replica_brownouts[replica].push(brownout);
-                        }
-                        push_chaos(
-                            &mut chaos_q,
-                            &mut chaos_actions,
-                            &mut chaos_seq,
-                            ev.at,
-                            ChaosAction::Degrade { replica },
-                        );
+        let mut chaos_q: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        loop {
+            for work in front.scheduled.drain(..) {
+                match work {
+                    Scheduled::Arrival(p) => {
+                        heap.push(Reverse(p.key()));
+                        pending.insert(p.seq, p);
+                    }
+                    Scheduled::Chaos { at, action } => {
+                        chaos_q.push(Reverse((at.to_bits(), chaos_actions.len())));
+                        chaos_actions.push(action);
                     }
                 }
             }
-            if let Some(scaler) = c.autoscaler {
-                push_chaos(
-                    &mut chaos_q,
-                    &mut chaos_actions,
-                    &mut chaos_seq,
-                    scaler.interval_s.max(1e-3),
-                    ChaosAction::Tick,
-                );
-            }
-            frontend_tracer.gauge(|| GaugeSample {
-                at: 0.0,
-                live_replicas: initial_live,
-                ..GaugeSample::default()
-            });
-        }
-        let n_rollouts = chaos.as_ref().map_or(0, |c| c.rollouts.len());
-        let mut rollout_started = vec![false; n_rollouts];
-        let mut rollout_done = vec![false; n_rollouts];
-        let mut chaos_rng =
-            dz_tensor::Rng::seeded(chaos.as_ref().map_or(0, |c| c.seed) ^ 0xD17E_C4A0);
-        let mut last_scale_at = f64::NEG_INFINITY;
-
-        loop {
             // Fire every chaos action due before the next arrival, at
             // its own timestamp (ties: chaos first, so a restart at t is
             // visible to a request arriving at t).
-            let next_arrival = heap
-                .peek()
-                .map(|std::cmp::Reverse((bits, _))| f64::from_bits(*bits));
+            let next_arrival = heap.peek().map(|Reverse((bits, _))| f64::from_bits(*bits));
             let next_chaos = chaos_q
                 .peek()
-                .map(|std::cmp::Reverse((bits, _, _))| f64::from_bits(*bits));
+                .map(|Reverse((bits, _))| f64::from_bits(*bits));
             let fire_chaos = match (next_chaos, next_arrival) {
                 (Some(c), Some(a)) => c <= a,
                 (Some(_), None) => true,
                 (None, _) => false,
             };
             if fire_chaos {
-                let std::cmp::Reverse((bits, _, idx)) = chaos_q.pop().expect("peeked above");
-                let t = f64::from_bits(bits);
-                let stats = chaos_stats.as_mut().expect("chaos actions imply config");
-                match chaos_actions[idx] {
-                    ChaosAction::Crash {
-                        replica,
-                        restart_after_s,
-                    } => {
-                        if replica < n && states[replica].alive {
-                            let lost = states[replica].crash(t);
-                            stats.crashes += 1;
-                            stats.lost_in_flight += lost.len();
-                            let lost_n = lost.len();
-                            frontend_tracer.emit(|| TraceEvent::ReplicaDown {
-                                replica,
-                                lost: lost_n,
-                                at: t,
-                            });
-                            // Lost in-flight requests re-enter the front
-                            // end at the crash instant; the wasted wait
-                            // becomes queue time from their viewpoint.
-                            for (req, global_id, delay, _) in lost {
-                                let orig_arrival = req.arrival - delay;
-                                let p = Pending {
-                                    req: Request {
-                                        arrival: orig_arrival,
-                                        id: global_id,
-                                        ..req
-                                    },
-                                    delay: t - orig_arrival,
-                                    defers: 0,
-                                    seq: next_seq,
-                                };
-                                next_seq += 1;
-                                heap.push(std::cmp::Reverse(p.key()));
-                                pending.insert(p.seq, p);
-                            }
-                            if let Some(d) = restart_after_s {
-                                states[replica].pending_restart = true;
-                                push_chaos(
-                                    &mut chaos_q,
-                                    &mut chaos_actions,
-                                    &mut chaos_seq,
-                                    t + d.max(0.0),
-                                    ChaosAction::Restart { replica },
-                                );
-                            }
-                            let live = states.iter().filter(|s| s.alive).count();
-                            stats.min_live = stats.min_live.min(live);
-                            frontend_tracer.gauge(|| GaugeSample {
-                                at: t,
-                                live_replicas: live,
-                                ..GaugeSample::default()
-                            });
-                        }
-                    }
-                    ChaosAction::Restart { replica } => {
-                        if replica < n && !states[replica].alive {
-                            states[replica].revive(t);
-                            stats.restarts += 1;
-                            frontend_tracer.emit(|| TraceEvent::ReplicaUp { replica, at: t });
-                            let live = states.iter().filter(|s| s.alive).count();
-                            stats.max_live = stats.max_live.max(live);
-                            frontend_tracer.gauge(|| GaugeSample {
-                                at: t,
-                                live_replicas: live,
-                                ..GaugeSample::default()
-                            });
-                        }
-                    }
-                    ChaosAction::Degrade { replica } => {
-                        if replica < n {
-                            stats.brownouts += 1;
-                        }
-                    }
-                    ChaosAction::Tick => {
-                        let scaler = chaos
-                            .as_ref()
-                            .and_then(|c| c.autoscaler)
-                            .expect("tick implies autoscaler");
-                        let live_ids: Vec<usize> = (0..n).filter(|&r| states[r].alive).collect();
-                        // An empty live set is infinite pressure: bring
-                        // anything available back immediately.
-                        let mean_backlog = if live_ids.is_empty() {
-                            f64::INFINITY
-                        } else {
-                            live_ids
-                                .iter()
-                                .map(|&r| (states[r].busy_until - t).max(0.0))
-                                .sum::<f64>()
-                                / live_ids.len() as f64
-                        };
-                        if t - last_scale_at >= scaler.cooldown_s {
-                            match scaler.decide(live_ids.len(), mean_backlog) {
-                                1 => {
-                                    let spare = (0..n)
-                                        .find(|&r| !states[r].alive && !states[r].pending_restart);
-                                    if let Some(r) = spare {
-                                        states[r].revive(t);
-                                        stats.scale_ups += 1;
-                                        last_scale_at = t;
-                                        frontend_tracer
-                                            .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
-                                        let live = live_ids.len() + 1;
-                                        stats.max_live = stats.max_live.max(live);
-                                        frontend_tracer.gauge(|| GaugeSample {
-                                            at: t,
-                                            live_replicas: live,
-                                            ..GaugeSample::default()
-                                        });
-                                    }
-                                }
-                                -1 => {
-                                    // Drain the emptiest live replica: it
-                                    // stops receiving traffic but keeps
-                                    // (and finishes) its in-flight work.
-                                    let victim = live_ids.iter().copied().min_by(|&a, &b| {
-                                        states[a]
-                                            .busy_until
-                                            .total_cmp(&states[b].busy_until)
-                                            .then(a.cmp(&b))
-                                    });
-                                    if let Some(r) = victim {
-                                        states[r].alive = false;
-                                        stats.scale_downs += 1;
-                                        last_scale_at = t;
-                                        frontend_tracer
-                                            .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
-                                        let live = live_ids.len() - 1;
-                                        stats.min_live = stats.min_live.min(live);
-                                        frontend_tracer.gauge(|| GaugeSample {
-                                            at: t,
-                                            live_replicas: live,
-                                            ..GaugeSample::default()
-                                        });
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        // Keep ticking while there is work left to serve.
-                        if !heap.is_empty() || t < horizon {
-                            push_chaos(
-                                &mut chaos_q,
-                                &mut chaos_actions,
-                                &mut chaos_seq,
-                                t + scaler.interval_s.max(1e-3),
-                                ChaosAction::Tick,
-                            );
-                        }
-                    }
-                }
+                let Reverse((bits, idx)) = chaos_q.pop().expect("peeked above");
+                front.fire(f64::from_bits(bits), chaos_actions[idx], !heap.is_empty());
                 continue;
             }
 
-            let Some(std::cmp::Reverse((_, seq))) = heap.pop() else {
+            let Some(Reverse((_, seq))) = heap.pop() else {
                 break;
             };
-            let mut p = match pending.remove(&seq) {
-                Some(p) => p,
-                None => continue,
-            };
-            let now = p.arrival();
-
-            // Rolling rollouts: a seeded, growing fraction of the v1
-            // model's traffic is remapped to its v2 delta.
-            if let Some(c) = &chaos {
-                for (i, ro) in c.rollouts.iter().enumerate() {
-                    let frac = ro.fraction_at(now);
-                    if frac > 0.0 && !rollout_started[i] {
-                        rollout_started[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac,
-                            at: now,
-                        });
-                    }
-                    if p.req.model == ro.model && frac > 0.0 && chaos_rng.bernoulli(frac) {
-                        p.req.model = ro.v2;
-                        chaos_stats
-                            .as_mut()
-                            .expect("rollouts imply chaos config")
-                            .rollout_remapped += 1;
-                    }
-                    if frac >= 1.0 && !rollout_done[i] {
-                        rollout_done[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac: 1.0,
-                            at: now,
-                        });
-                    }
-                }
-            }
-
-            for state in &mut states {
-                state.prune(now);
-            }
-            let mut views: Vec<ReplicaView> = states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    let mut v = s.view(r, now, p.req.model);
-                    // A browned-out channel inflates the router's load
-                    // estimates: cold loads ride disk, decode rides PCIe.
-                    let (disk_rate, pcie_rate) = brownout_rates(&replica_brownouts[r], now);
-                    v.cold_load_s /= disk_rate;
-                    v.warm_load_s /= pcie_rate;
-                    v
-                })
-                .collect();
-            if !self.model_needs_delta(p.req.model) {
-                // Non-delta variants (base weights, MB-scale adapters) are
-                // resident on every live replica: the router sees them as
-                // warm everywhere and charges no swap-in.
-                for v in &mut views {
-                    v.warm = true;
-                    v.decoded = true;
-                    v.cold_load_s = 0.0;
-                    v.warm_load_s = 0.0;
-                }
-            }
-            let live_now = views.iter().filter(|v| v.alive).count();
-            if let Some(stats) = chaos_stats.as_mut() {
-                stats.min_live = stats.min_live.min(live_now);
-                stats.max_live = stats.max_live.max(live_now);
-            }
-
-            // SLO-aware admission: Batch requests defer, then shed, when
-            // even the least-loaded *live* replica is saturated (a fleet
-            // with zero live capacity counts as infinitely deep).
-            if let Some(adm) = &self.config.admission {
-                if adm.slo.class_of(p.req.model) == SloClass::Batch {
-                    let min_depth = views
-                        .iter()
-                        .filter(|v| v.alive)
-                        .map(|v| v.queue_depth)
-                        .min()
-                        .unwrap_or(usize::MAX);
-                    if min_depth >= adm.defer_depth && p.defers < adm.max_defers {
-                        routing.defer_events += 1;
-                        frontend_tracer.emit(|| TraceEvent::Defer {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let deferred = Pending {
-                            delay: p.delay + adm.defer_s,
-                            defers: p.defers + 1,
-                            seq: next_seq,
-                            req: p.req,
-                        };
-                        next_seq += 1;
-                        heap.push(std::cmp::Reverse(deferred.key()));
-                        pending.insert(deferred.seq, deferred);
-                        continue;
-                    }
-                    if min_depth >= adm.shed_depth {
-                        routing.shed += 1;
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class: SloClass::Batch,
-                        });
-                        continue;
-                    }
-                }
-            }
-
-            // Zero effective capacity (every replica down or draining):
-            // park the request until the next capacity event — a
-            // scheduled restart or an autoscaler tick that could
-            // activate a spare. If nothing will ever bring capacity
-            // back, shed instead of looping: graceful degradation, not
-            // a hang.
-            if live_now == 0 {
-                let can_scale_up = chaos
-                    .as_ref()
-                    .and_then(|c| c.autoscaler)
-                    .is_some_and(|s| s.max_replicas > 0)
-                    && states.iter().any(|s| !s.alive && !s.pending_restart);
-                let next_up = chaos_q
-                    .iter()
-                    .filter_map(
-                        |std::cmp::Reverse((bits, _, idx))| match chaos_actions[*idx] {
-                            ChaosAction::Restart { .. } => Some(f64::from_bits(*bits)),
-                            ChaosAction::Tick if can_scale_up => Some(f64::from_bits(*bits)),
-                            _ => None,
-                        },
-                    )
-                    .fold(None, |acc: Option<f64>, t| {
-                        Some(acc.map_or(t, |a| a.min(t)))
-                    });
-                match next_up {
-                    Some(t_up) if t_up > now => {
-                        let parked = Pending {
-                            delay: t_up - p.req.arrival,
-                            seq: next_seq,
-                            ..p
-                        };
-                        next_seq += 1;
-                        heap.push(std::cmp::Reverse(parked.key()));
-                        pending.insert(parked.seq, parked);
-                    }
-                    _ => {
-                        routing.shed += 1;
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.shed_no_capacity += 1;
-                        }
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let class = self
-                            .config
-                            .admission
-                            .as_ref()
-                            .map(|a| a.slo.class_of(p.req.model))
-                            .unwrap_or(SloClass::Batch);
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class,
-                        });
-                    }
-                }
+            let Some(p) = pending.remove(&seq) else {
                 continue;
-            }
-
-            let r = self.router.route(&p.req, &views);
-            assert!(r < n, "router returned replica {r} of {n}");
-            assert!(views[r].alive, "router selected dead replica {r}");
-            let migrations_now = self.router.migrations();
-            if migrations_now > migrations_seen {
-                let count = migrations_now - migrations_seen;
-                frontend_tracer.emit(|| TraceEvent::Migrate { count, at: now });
-                migrations_seen = migrations_now;
-            }
-            let warm = views[r].warm;
-            if warm {
-                routing.warm_routed += 1;
-                // A warm hit on a prewarmed entry rewards the hint that
-                // placed it (counted once per prewarm).
-                if states[r].prefetched.remove(&p.req.model) {
-                    routing.prefetch_hits += 1;
-                }
-            } else {
-                routing.cold_routed += 1;
-                if views.iter().any(|v| v.warm) {
-                    routing.placement_misses += 1;
-                }
-            }
-            routing.per_replica_requests[r] += 1;
-            // Apply the router's prefetch hints: prewarm the predicted
-            // caches and, when store-bound, the real ones (budgeted).
-            if let Some(pf) = self.config.prefetch {
-                for hint in self
-                    .router
-                    .prefetch_hints(&p.req, &views, r)
-                    .into_iter()
-                    .take(pf.max_hints_per_decision)
-                {
-                    if hint.replica >= n {
-                        continue;
-                    }
-                    // Hint budget is for GB-scale deltas only; adapters
-                    // and base weights need no placement.
-                    if !self.model_needs_delta(hint.model) {
-                        continue;
-                    }
-                    // A hint aimed at a dead replica is dropped, not
-                    // leaked into its predicted (or real) cache.
-                    if !views[hint.replica].alive {
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.dropped_hints += 1;
-                        }
-                        continue;
-                    }
-                    routing.prefetch_hints += 1;
-                    if states[hint.replica].prefetch_warm(hint.model) {
-                        routing.prefetch_issued += 1;
-                        if let Some(bindings) = self.bindings.as_mut() {
-                            let binding = &mut bindings[hint.replica];
-                            if let Some(id) = binding.artifact_of(hint.model).copied() {
-                                let _ = binding.store_mut().prefetch(&[id], pf.budget_bytes);
-                            }
-                        }
-                    }
-                }
-            }
-            let state = &mut states[r];
-            let est = self.costs[r].prefill_time(p.req.prompt_tokens)
-                + p.req.output_tokens as f64 * state.per_token_s
-                + if warm { 0.0 } else { views[r].cold_load_s };
-            if self.model_needs_delta(p.req.model) {
-                // Adapter/base models must not occupy predicted
-                // delta-warm-set capacity.
-                state.touch_used(p.req.model);
-            }
-            state.charge(now, est);
-            let est_finish = state.busy_until;
-            let mut admitted = p.req.clone();
-            admitted.arrival = now;
-            state
-                .assigned
-                .push((admitted, p.req.id, p.delay, est_finish));
+            };
+            let pending_chaos = chaos_q
+                .iter()
+                .map(|Reverse((bits, idx))| (f64::from_bits(*bits), chaos_actions[*idx]));
+            front.arrival(self, p, pending_chaos);
         }
-
-        self.replay_and_report(
-            trace,
-            states,
-            routing,
-            shed,
-            chaos_stats,
-            frontend_tracer,
-            &replica_brownouts,
-        )
+        self.replay_and_report(trace, front)
     }
 
     /// Replays each replica's assignments on its own engine(s) and
     /// assembles the [`ClusterReport`] — the deterministic back half
     /// shared by [`run`](Self::run) and
     /// [`run_lockstep_reference`](Self::run_lockstep_reference).
-    #[allow(clippy::too_many_arguments)]
-    fn replay_and_report(
-        &mut self,
-        trace: &Trace,
-        mut states: Vec<ReplicaFrontendState>,
-        routing: RoutingStats,
-        shed: Vec<ShedRecord>,
-        chaos_stats: Option<ChaosStats>,
-        mut frontend_tracer: Tracer,
-        replica_brownouts: &[Vec<Brownout>],
-    ) -> ClusterReport {
+    fn replay_and_report(&mut self, trace: &Trace, front: FrontEnd) -> ClusterReport {
+        let FrontEnd {
+            mut states,
+            routing,
+            shed,
+            chaos_stats,
+            tracer: mut frontend_tracer,
+            replica_brownouts,
+            ..
+        } = front;
         let n = self.config.n_replicas;
         let mut trace_tracks: Vec<TraceTrack> = Vec::new();
         if let Some(log) = frontend_tracer.take_log() {
@@ -2445,6 +1435,587 @@ enum ChaosAction {
     Degrade { replica: usize },
     /// Autoscaler control-loop sample.
     Tick,
+}
+
+/// Work a front-end handler schedules, handed back to the run loop in
+/// push order so each loop numbers and tie-breaks it exactly as before.
+enum Scheduled {
+    /// A request (re-)entering the front end at [`Pending::arrival`].
+    Arrival(Pending),
+    /// A chaos action firing at `at`.
+    Chaos { at: f64, action: ChaosAction },
+}
+
+/// The cluster front end between events: predicted replica state,
+/// routing and chaos accounting, with one handler per event kind.
+/// [`ClusterSim::run`] and [`ClusterSim::run_lockstep_reference`] drive
+/// the same handlers and keep only their own event queues.
+struct FrontEnd {
+    chaos: Option<ChaosConfig>,
+    states: Vec<ReplicaFrontendState>,
+    routing: RoutingStats,
+    shed: Vec<ShedRecord>,
+    chaos_stats: Option<ChaosStats>,
+    tracer: Tracer,
+    /// Per-replica brownout windows, handed to the replay engines too.
+    replica_brownouts: Vec<Vec<Brownout>>,
+    rollout_started: Vec<bool>,
+    rollout_done: Vec<bool>,
+    /// Seeded RNG for rollout coin flips. All chaos machinery is
+    /// independent of tracing, so a traced chaos run stays bit-identical
+    /// in metrics to an untraced one.
+    chaos_rng: dz_tensor::Rng,
+    last_scale_at: f64,
+    next_seq: u64,
+    migrations_seen: usize,
+    /// Latest trace arrival: the autoscaler ticks at least until then.
+    horizon: f64,
+    /// Router views for the arrival being handled, rebuilt in place.
+    views: Vec<ReplicaView>,
+    /// Arrivals and chaos actions scheduled since the loop last drained
+    /// this, in push order.
+    scheduled: Vec<Scheduled>,
+}
+
+impl FrontEnd {
+    /// The front end for one run of `sim` over `trace`, with the trace's
+    /// requests, then the fault plan's actions and the first autoscaler
+    /// tick, already scheduled.
+    fn new(sim: &ClusterSim, trace: &Trace) -> Self {
+        let n = sim.config.n_replicas;
+        let chaos = sim.chaos.clone();
+        let initial_live = chaos
+            .as_ref()
+            .and_then(|c| c.initial_replicas)
+            .unwrap_or(n)
+            .clamp(1, n);
+        let mut scheduled: Vec<Scheduled> = trace
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(seq, req)| {
+                Scheduled::Arrival(Pending {
+                    req: req.clone(),
+                    delay: 0.0,
+                    defers: 0,
+                    seq: seq as u64,
+                })
+            })
+            .collect();
+        let mut tracer = match sim.trace_config {
+            Some(cfg) => Tracer::enabled(cfg),
+            None => Tracer::disabled(),
+        };
+        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
+        if let Some(c) = &chaos {
+            for ev in c.plan.events() {
+                let action = match ev.kind {
+                    FaultKind::Crash {
+                        replica,
+                        restart_after_s,
+                    } => ChaosAction::Crash {
+                        replica,
+                        restart_after_s,
+                    },
+                    FaultKind::Degrade { replica, brownout } => {
+                        if replica < n {
+                            replica_brownouts[replica].push(brownout);
+                        }
+                        ChaosAction::Degrade { replica }
+                    }
+                };
+                scheduled.push(Scheduled::Chaos {
+                    at: ev.at.max(0.0),
+                    action,
+                });
+            }
+            if let Some(scaler) = c.autoscaler {
+                scheduled.push(Scheduled::Chaos {
+                    at: scaler.interval_s.max(1e-3),
+                    action: ChaosAction::Tick,
+                });
+            }
+            tracer.gauge(|| GaugeSample {
+                at: 0.0,
+                live_replicas: initial_live,
+                ..GaugeSample::default()
+            });
+        }
+        let n_rollouts = chaos.as_ref().map_or(0, |c| c.rollouts.len());
+        FrontEnd {
+            states: sim.build_states(trace, initial_live),
+            routing: RoutingStats {
+                per_replica_requests: vec![0; n],
+                ..RoutingStats::default()
+            },
+            shed: Vec::new(),
+            chaos_stats: chaos.as_ref().map(|_| ChaosStats {
+                min_live: initial_live,
+                max_live: initial_live,
+                ..ChaosStats::default()
+            }),
+            tracer,
+            replica_brownouts,
+            rollout_started: vec![false; n_rollouts],
+            rollout_done: vec![false; n_rollouts],
+            chaos_rng: dz_tensor::Rng::seeded(chaos.as_ref().map_or(0, |c| c.seed) ^ 0xD17E_C4A0),
+            last_scale_at: f64::NEG_INFINITY,
+            next_seq: trace.len() as u64,
+            migrations_seen: sim.router.migrations(),
+            horizon: trace
+                .requests
+                .iter()
+                .map(|r| r.arrival)
+                .fold(0.0f64, f64::max),
+            views: Vec::with_capacity(n),
+            scheduled,
+            chaos,
+        }
+    }
+
+    fn chaos_stats(&mut self) -> &mut ChaosStats {
+        self.chaos_stats
+            .as_mut()
+            .expect("chaos events imply a chaos config")
+    }
+
+    fn live_count(&self) -> usize {
+        self.states.iter().filter(|s| s.alive).count()
+    }
+
+    fn gauge(&mut self, at: f64, live_replicas: usize) {
+        self.tracer.gauge(|| GaugeSample {
+            at,
+            live_replicas,
+            ..GaugeSample::default()
+        });
+    }
+
+    /// Schedules `req` to re-enter the front end `delay` seconds after
+    /// its arrival, under the next sequence number.
+    fn requeue(&mut self, req: Request, delay: f64, defers: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled.push(Scheduled::Arrival(Pending {
+            req,
+            delay,
+            defers,
+            seq,
+        }));
+    }
+
+    /// Fires one chaos action at `t`. `work_left` says whether arrivals
+    /// are still queued; the autoscaler keeps ticking while they are.
+    fn fire(&mut self, t: f64, action: ChaosAction, work_left: bool) {
+        match action {
+            ChaosAction::Crash {
+                replica,
+                restart_after_s,
+            } => self.crash(t, replica, restart_after_s),
+            ChaosAction::Restart { replica } => self.restart(t, replica),
+            ChaosAction::Degrade { replica } => {
+                if replica < self.states.len() {
+                    self.chaos_stats().brownouts += 1;
+                }
+            }
+            ChaosAction::Tick => self.tick(t, work_left),
+        }
+    }
+
+    fn crash(&mut self, t: f64, replica: usize, restart_after_s: Option<f64>) {
+        if replica >= self.states.len() || !self.states[replica].alive {
+            return;
+        }
+        let lost = self.states[replica].crash(t);
+        let lost_n = lost.len();
+        let stats = self.chaos_stats();
+        stats.crashes += 1;
+        stats.lost_in_flight += lost_n;
+        self.tracer.emit(|| TraceEvent::ReplicaDown {
+            replica,
+            lost: lost_n,
+            at: t,
+        });
+        // Lost in-flight requests re-enter the front end at the crash
+        // instant; the wasted wait becomes queue time from their
+        // viewpoint.
+        for (req, global_id, delay, _) in lost {
+            let orig_arrival = req.arrival - delay;
+            let req = Request {
+                arrival: orig_arrival,
+                id: global_id,
+                ..req
+            };
+            self.requeue(req, t - orig_arrival, 0);
+        }
+        if let Some(d) = restart_after_s {
+            self.states[replica].pending_restart = true;
+            self.scheduled.push(Scheduled::Chaos {
+                at: t + d.max(0.0),
+                action: ChaosAction::Restart { replica },
+            });
+        }
+        let live = self.live_count();
+        let stats = self.chaos_stats();
+        stats.min_live = stats.min_live.min(live);
+        self.gauge(t, live);
+    }
+
+    fn restart(&mut self, t: f64, replica: usize) {
+        if replica >= self.states.len() || self.states[replica].alive {
+            return;
+        }
+        self.states[replica].revive(t);
+        self.chaos_stats().restarts += 1;
+        self.tracer
+            .emit(|| TraceEvent::ReplicaUp { replica, at: t });
+        let live = self.live_count();
+        let stats = self.chaos_stats();
+        stats.max_live = stats.max_live.max(live);
+        self.gauge(t, live);
+    }
+
+    /// Autoscaler control-loop sample: activate a cold spare or drain
+    /// the emptiest live replica, then schedule the next tick while
+    /// there is work left to serve.
+    fn tick(&mut self, t: f64, work_left: bool) {
+        let scaler = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.autoscaler)
+            .expect("tick implies autoscaler");
+        let n = self.states.len();
+        let live_ids: Vec<usize> = (0..n).filter(|&r| self.states[r].alive).collect();
+        // An empty live set is infinite pressure: bring anything
+        // available back immediately.
+        let mean_backlog = if live_ids.is_empty() {
+            f64::INFINITY
+        } else {
+            live_ids
+                .iter()
+                .map(|&r| (self.states[r].busy_until - t).max(0.0))
+                .sum::<f64>()
+                / live_ids.len() as f64
+        };
+        if t - self.last_scale_at >= scaler.cooldown_s {
+            match scaler.decide(live_ids.len(), mean_backlog) {
+                1 => {
+                    let spare =
+                        (0..n).find(|&r| !self.states[r].alive && !self.states[r].pending_restart);
+                    if let Some(r) = spare {
+                        self.states[r].revive(t);
+                        self.last_scale_at = t;
+                        let live = live_ids.len() + 1;
+                        let stats = self.chaos_stats();
+                        stats.scale_ups += 1;
+                        stats.max_live = stats.max_live.max(live);
+                        self.tracer
+                            .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
+                        self.gauge(t, live);
+                    }
+                }
+                -1 => {
+                    // Drain the emptiest live replica: it stops receiving
+                    // traffic but keeps (and finishes) its in-flight work.
+                    let victim = live_ids.iter().copied().min_by(|&a, &b| {
+                        self.states[a]
+                            .busy_until
+                            .total_cmp(&self.states[b].busy_until)
+                            .then(a.cmp(&b))
+                    });
+                    if let Some(r) = victim {
+                        self.states[r].alive = false;
+                        self.last_scale_at = t;
+                        let live = live_ids.len() - 1;
+                        let stats = self.chaos_stats();
+                        stats.scale_downs += 1;
+                        stats.min_live = stats.min_live.min(live);
+                        self.tracer
+                            .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
+                        self.gauge(t, live);
+                    }
+                }
+                _ => {}
+            }
+        }
+        if work_left || t < self.horizon {
+            self.scheduled.push(Scheduled::Chaos {
+                at: t + scaler.interval_s.max(1e-3),
+                action: ChaosAction::Tick,
+            });
+        }
+    }
+
+    /// A request (re-)entering the front end at `p.arrival()`: rollout
+    /// remap, router views, admission (defer/shed), zero-capacity
+    /// park/shed, then route, apply prefetch hints and charge the chosen
+    /// replica. `pending_chaos` yields the queued chaos actions with
+    /// their fire times; it is scanned only when no replica is live.
+    fn arrival(
+        &mut self,
+        sim: &mut ClusterSim,
+        mut p: Pending,
+        pending_chaos: impl Iterator<Item = (f64, ChaosAction)>,
+    ) {
+        let now = p.arrival();
+        self.remap_rollouts(&mut p.req, now);
+        let live_now = self.refresh_views(sim, p.req.model, now);
+        let Some(p) = self.admit(sim, p, now) else {
+            return;
+        };
+        if live_now == 0 {
+            self.park_or_shed(sim, p, now, pending_chaos);
+            return;
+        }
+        self.route(sim, p, now);
+    }
+
+    /// Rolling rollouts: a seeded, growing fraction of the v1 model's
+    /// traffic is remapped to its v2 delta.
+    fn remap_rollouts(&mut self, req: &mut Request, now: f64) {
+        let Some(c) = &self.chaos else {
+            return;
+        };
+        for (i, ro) in c.rollouts.iter().enumerate() {
+            let frac = ro.fraction_at(now);
+            if frac > 0.0 && !self.rollout_started[i] {
+                self.rollout_started[i] = true;
+                self.tracer.emit(|| TraceEvent::Rollout {
+                    model: ro.model,
+                    v2: ro.v2,
+                    frac,
+                    at: now,
+                });
+            }
+            if req.model == ro.model && frac > 0.0 && self.chaos_rng.bernoulli(frac) {
+                req.model = ro.v2;
+                if let Some(stats) = self.chaos_stats.as_mut() {
+                    stats.rollout_remapped += 1;
+                }
+            }
+            if frac >= 1.0 && !self.rollout_done[i] {
+                self.rollout_done[i] = true;
+                self.tracer.emit(|| TraceEvent::Rollout {
+                    model: ro.model,
+                    v2: ro.v2,
+                    frac: 1.0,
+                    at: now,
+                });
+            }
+        }
+    }
+
+    /// Rebuilds the router's views of every replica for a request of
+    /// `model` at `now`; returns the live replica count.
+    fn refresh_views(&mut self, sim: &ClusterSim, model: usize, now: f64) -> usize {
+        // Non-delta variants (base weights, MB-scale adapters) are
+        // resident on every live replica: the router sees them as warm
+        // everywhere and charges no swap-in.
+        let resident_everywhere = !sim.model_needs_delta(model);
+        self.views.clear();
+        for (r, state) in self.states.iter_mut().enumerate() {
+            state.prune(now);
+            let mut v = state.view(r, now, model);
+            // A browned-out channel inflates the router's load
+            // estimates: cold loads ride disk, decode rides PCIe.
+            let (disk_rate, pcie_rate) = brownout_rates(&self.replica_brownouts[r], now);
+            v.cold_load_s /= disk_rate;
+            v.warm_load_s /= pcie_rate;
+            if resident_everywhere {
+                v.warm = true;
+                v.decoded = true;
+                v.cold_load_s = 0.0;
+                v.warm_load_s = 0.0;
+            }
+            self.views.push(v);
+        }
+        let live_now = self.views.iter().filter(|v| v.alive).count();
+        if let Some(stats) = self.chaos_stats.as_mut() {
+            stats.min_live = stats.min_live.min(live_now);
+            stats.max_live = stats.max_live.max(live_now);
+        }
+        live_now
+    }
+
+    /// SLO-aware admission: Batch requests defer, then shed, when even
+    /// the least-loaded *live* replica is saturated (a fleet with zero
+    /// live capacity counts as infinitely deep). Returns the request if
+    /// it proceeds to routing.
+    fn admit(&mut self, sim: &ClusterSim, p: Pending, now: f64) -> Option<Pending> {
+        let Some(adm) = &sim.config.admission else {
+            return Some(p);
+        };
+        if adm.slo.class_of(p.req.model) != SloClass::Batch {
+            return Some(p);
+        }
+        let min_depth = self
+            .views
+            .iter()
+            .filter(|v| v.alive)
+            .map(|v| v.queue_depth)
+            .min()
+            .unwrap_or(usize::MAX);
+        if min_depth >= adm.defer_depth && p.defers < adm.max_defers {
+            self.routing.defer_events += 1;
+            self.tracer.emit(|| TraceEvent::Defer {
+                id: p.req.id,
+                model: p.req.model,
+                at: now,
+            });
+            self.requeue(p.req, p.delay + adm.defer_s, p.defers + 1);
+            return None;
+        }
+        if min_depth >= adm.shed_depth {
+            self.shed_request(&p.req, now, SloClass::Batch);
+            return None;
+        }
+        Some(p)
+    }
+
+    /// Zero effective capacity (every replica down or draining): park
+    /// the request until the next capacity event — a scheduled restart
+    /// or an autoscaler tick that could activate a spare. If nothing
+    /// will ever bring capacity back, shed instead of looping: graceful
+    /// degradation, not a hang.
+    fn park_or_shed(
+        &mut self,
+        sim: &ClusterSim,
+        p: Pending,
+        now: f64,
+        pending_chaos: impl Iterator<Item = (f64, ChaosAction)>,
+    ) {
+        let can_scale_up = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.autoscaler)
+            .is_some_and(|s| s.max_replicas > 0)
+            && self.states.iter().any(|s| !s.alive && !s.pending_restart);
+        let next_up = pending_chaos
+            .filter_map(|(at, action)| match action {
+                ChaosAction::Restart { .. } => Some(at),
+                ChaosAction::Tick if can_scale_up => Some(at),
+                _ => None,
+            })
+            .fold(None, |acc: Option<f64>, t| {
+                Some(acc.map_or(t, |a| a.min(t)))
+            });
+        match next_up {
+            Some(t_up) if t_up > now => {
+                let delay = t_up - p.req.arrival;
+                self.requeue(p.req, delay, p.defers);
+            }
+            _ => {
+                if let Some(stats) = self.chaos_stats.as_mut() {
+                    stats.shed_no_capacity += 1;
+                }
+                let class = sim
+                    .config
+                    .admission
+                    .as_ref()
+                    .map(|a| a.slo.class_of(p.req.model))
+                    .unwrap_or(SloClass::Batch);
+                self.shed_request(&p.req, now, class);
+            }
+        }
+    }
+
+    fn shed_request(&mut self, req: &Request, now: f64, class: SloClass) {
+        self.routing.shed += 1;
+        self.tracer.emit(|| TraceEvent::Shed {
+            id: req.id,
+            model: req.model,
+            at: now,
+        });
+        self.shed.push(ShedRecord {
+            id: req.id,
+            model: req.model,
+            arrival: req.arrival,
+            class,
+        });
+    }
+
+    /// Routes the request, applies the router's prefetch hints and
+    /// charges the chosen replica's predicted state.
+    fn route(&mut self, sim: &mut ClusterSim, p: Pending, now: f64) {
+        let n = self.states.len();
+        let r = sim.router.route(&p.req, &self.views);
+        assert!(r < n, "router returned replica {r} of {n}");
+        assert!(self.views[r].alive, "router selected dead replica {r}");
+        let migrations_now = sim.router.migrations();
+        if migrations_now > self.migrations_seen {
+            let count = migrations_now - self.migrations_seen;
+            self.tracer.emit(|| TraceEvent::Migrate { count, at: now });
+            self.migrations_seen = migrations_now;
+        }
+        let warm = self.views[r].warm;
+        if warm {
+            self.routing.warm_routed += 1;
+            // A warm hit on a prewarmed entry rewards the hint that
+            // placed it (counted once per prewarm).
+            if self.states[r].prefetched.remove(&p.req.model) {
+                self.routing.prefetch_hits += 1;
+            }
+        } else {
+            self.routing.cold_routed += 1;
+            if self.views.iter().any(|v| v.warm) {
+                self.routing.placement_misses += 1;
+            }
+        }
+        self.routing.per_replica_requests[r] += 1;
+        // Apply the router's prefetch hints: prewarm the predicted caches
+        // and, when store-bound, the real ones (budgeted).
+        if let Some(pf) = sim.config.prefetch {
+            for hint in sim
+                .router
+                .prefetch_hints(&p.req, &self.views, r)
+                .into_iter()
+                .take(pf.max_hints_per_decision)
+            {
+                if hint.replica >= n {
+                    continue;
+                }
+                // Hint budget is for GB-scale deltas only; adapters and
+                // base weights need no placement.
+                if !sim.model_needs_delta(hint.model) {
+                    continue;
+                }
+                // A hint aimed at a dead replica is dropped, not leaked
+                // into its predicted (or real) cache.
+                if !self.views[hint.replica].alive {
+                    if let Some(stats) = self.chaos_stats.as_mut() {
+                        stats.dropped_hints += 1;
+                    }
+                    continue;
+                }
+                self.routing.prefetch_hints += 1;
+                if self.states[hint.replica].prefetch_warm(hint.model) {
+                    self.routing.prefetch_issued += 1;
+                    if let Some(bindings) = sim.bindings.as_mut() {
+                        let binding = &mut bindings[hint.replica];
+                        if let Some(id) = binding.artifact_of(hint.model).copied() {
+                            let _ = binding.store_mut().prefetch(&[id], pf.budget_bytes);
+                        }
+                    }
+                }
+            }
+        }
+        let state = &mut self.states[r];
+        let est = sim.costs[r].prefill_time(p.req.prompt_tokens)
+            + p.req.output_tokens as f64 * state.per_token_s
+            + if warm { 0.0 } else { self.views[r].cold_load_s };
+        if sim.model_needs_delta(p.req.model) {
+            // Adapter/base models must not occupy predicted
+            // delta-warm-set capacity.
+            state.touch_used(p.req.model);
+        }
+        state.charge(now, est);
+        let est_finish = state.busy_until;
+        let mut admitted = p.req.clone();
+        admitted.arrival = now;
+        state
+            .assigned
+            .push((admitted, p.req.id, p.delay, est_finish));
+    }
 }
 
 /// Effective (disk, PCIe) rate factors at `now` under a brownout

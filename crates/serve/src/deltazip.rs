@@ -312,15 +312,6 @@ impl DeltaZipEngine {
         self
     }
 
-    /// Attaches an artifact store: loads are charged by the bound
-    /// artifacts' real compressed byte sizes (host hit pays the PCIe hop
-    /// only; a miss pays disk plus PCIe).
-    #[deprecated(since = "0.6.0", note = "use `EngineBuilder::store` instead")]
-    pub fn with_delta_store(mut self, binding: DeltaStoreBinding) -> Self {
-        self.delta_store = Some(binding);
-        self
-    }
-
     /// Attaches a variant catalog: requests are served per their model's
     /// registered [`VariantKind`] instead of the delta-only default.
     pub fn with_catalog(mut self, catalog: VariantCatalog) -> Self {

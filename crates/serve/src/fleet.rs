@@ -371,8 +371,9 @@ enum FleetEvent {
     SwapLand { replica: usize, model: usize },
     /// An edge-replication prefetch landed on a replica's disk.
     PrefetchLand { replica: usize, model: usize },
-    /// A fault from the plan fires (kill), or a restart (rejoin).
-    Fault { replica: usize, restart: bool },
+    /// A fault from the plan kills the replica, which rejoins `down_s`
+    /// later (`Some`), or a killed replica rejoins (`None`).
+    Fault { replica: usize, down_s: Option<f64> },
     /// Autoscale tick.
     Tick,
 }
@@ -459,17 +460,11 @@ impl FleetSim {
                     CLASS_FAULT,
                     FleetEvent::Fault {
                         replica: f.replica,
-                        restart: false,
+                        down_s: Some(f.down_s),
                     },
                 );
             }
         }
-        let mut fault_down: HashMap<usize, f64> = cfg
-            .faults
-            .iter()
-            .filter(|f| f.replica < n)
-            .map(|f| (f.replica, f.down_s))
-            .collect();
         if let Some(scale) = cfg.autoscale {
             events.push_class(scale.interval_s.max(1e-3), CLASS_TICK, FleetEvent::Tick);
         }
@@ -521,27 +516,32 @@ impl FleetSim {
                 log.push(FleetLogEntry { at: t, class, key });
             }
             match event {
-                FleetEvent::Fault { replica, restart } => {
-                    if restart {
-                        replicas[replica].alive = true;
-                        replicas[replica].busy_until = t;
-                        replicas[replica].queue_depth = 0;
-                        live_count += 1;
-                    } else if replicas[replica].alive {
-                        // Warm cache dies with the process; the disk (and
-                        // its holder entries) survives the restart.
-                        replicas[replica].alive = false;
-                        replicas[replica].warm.clear();
-                        live_count -= 1;
-                        let down = fault_down.remove(&replica).unwrap_or(10.0);
-                        events.push_class(
-                            t + down.max(1e-3),
-                            CLASS_FAULT,
-                            FleetEvent::Fault {
-                                replica,
-                                restart: true,
-                            },
-                        );
+                FleetEvent::Fault { replica, down_s } => {
+                    match down_s {
+                        None => {
+                            replicas[replica].alive = true;
+                            replicas[replica].busy_until = t;
+                            replicas[replica].queue_depth = 0;
+                            live_count += 1;
+                        }
+                        // A kill: the warm cache dies with the process;
+                        // the disk (and its holder entries) survives the
+                        // restart. Killing a replica that is already
+                        // down is a no-op.
+                        Some(down) if replicas[replica].alive => {
+                            replicas[replica].alive = false;
+                            replicas[replica].warm.clear();
+                            live_count -= 1;
+                            events.push_class(
+                                t + down.max(1e-3),
+                                CLASS_FAULT,
+                                FleetEvent::Fault {
+                                    replica,
+                                    down_s: None,
+                                },
+                            );
+                        }
+                        Some(_) => {}
                     }
                     peak_live = peak_live.max(live_count);
                     ring_dirty = true;
@@ -1026,6 +1026,34 @@ mod tests {
         assert_eq!(faults.len(), 2);
         assert!((faults[0].at - 20.0).abs() < 1e-9);
         assert!((faults[1].at - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_fault_restarts_after_its_own_down_time() {
+        let tr = small_trace(13);
+        let mut cfg = FleetConfig::new(4);
+        cfg.faults = vec![
+            FleetFault {
+                at: 1.0,
+                replica: 0,
+                down_s: 5.0,
+            },
+            FleetFault {
+                at: 20.0,
+                replica: 0,
+                down_s: 30.0,
+            },
+        ];
+        cfg.record_events = true;
+        let plan = plan_for(&tr, 4);
+        let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 3 }).run(&tr);
+        let log = rep.event_log.expect("recording enabled");
+        let faults: Vec<f64> = log
+            .iter()
+            .filter(|e| e.class == CLASS_FAULT)
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(faults, vec![1.0, 6.0, 20.0, 50.0]);
     }
 
     #[test]

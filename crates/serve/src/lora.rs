@@ -59,19 +59,6 @@ pub struct LoraEngine {
     pub config: LoraServingConfig,
 }
 
-impl LoraEngine {
-    /// Creates the engine.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `EngineBuilder::new(cost).adapters(config).build_adapter_only()` instead"
-    )]
-    pub fn new(cost: CostModel, config: LoraServingConfig) -> Self {
-        crate::builder::EngineBuilder::new(cost)
-            .adapters(config)
-            .build_adapter_only()
-    }
-}
-
 impl Engine for LoraEngine {
     fn label(&self) -> String {
         if self.config.sparse_density > 0.0 {

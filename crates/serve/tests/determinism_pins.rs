@@ -5,6 +5,9 @@
 //! conversion in `fleet.rs` / `cluster.rs` / `deltazip.rs` /
 //! `predictor.rs` / `tiered.rs` changed **no** simulation result, and
 //! that future refactors keep every run replayable bit-for-bit.
+//! `cluster_chaos_run_is_pinned` was harvested the same way, before the
+//! cluster front end's event handlers became shared by `ClusterSim::run`
+//! and its lockstep oracle.
 //!
 //! If a PR changes one of these values *on purpose* (a scheduling or
 //! cost-model change), re-pin deliberately: run with
@@ -13,9 +16,15 @@
 
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
-use dz_serve::cluster::{ClusterConfig, ClusterSim, PlacementAwareRouter, PlacementPlan};
+use dz_serve::cluster::{
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterSim, PlacementAwareRouter,
+    PlacementPlan,
+};
 use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
-use dz_serve::{CostModel, DeltaZipConfig, Engine, EngineBuilder, Metrics, VariantCatalog};
+use dz_serve::{
+    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaZipConfig, Engine, EngineBuilder,
+    FaultEvent, FaultKind, FaultPlan, Metrics, Rollout, SloPolicy, VariantCatalog,
+};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
 const N_MODELS: usize = 16;
@@ -82,6 +91,7 @@ fn trace(seed: u64, rate: f64, duration_s: f64) -> Trace {
 const PIN_FLEET: u64 = 0x12c99df2cbd0593c;
 const PIN_TOPPINGS: u64 = 0x01e21a5090efc51a;
 const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
+const PIN_CLUSTER_CHAOS: u64 = 0x4a3ae34f6c2b238e;
 
 /// Fleet-scale event core: p2c routing over 24 replicas exercises the
 /// per-replica warm-set LRU (`FleetReplica::warm`) on every request.
@@ -144,4 +154,117 @@ fn cluster_run_is_pinned() {
     pin.metrics(&report.merged);
     pin.word(report.routing.per_replica_requests.iter().sum::<usize>() as u64);
     check("cluster", pin.0, PIN_CLUSTER);
+}
+
+/// Cluster front end under chaos: crash + restart, a brownout, an
+/// autoscaler cycling two spares, a rolling remap, admission control and
+/// routing-time prefetch. `run` and its lockstep oracle share these
+/// handlers, so the differential suite cannot see a change to them; this
+/// pin can.
+#[test]
+fn cluster_chaos_run_is_pinned() {
+    let tr = trace(17, 2.5, 70.0);
+    let brownout = Brownout {
+        start_s: 30.0,
+        end_s: 45.0,
+        disk_rate: 0.25,
+        pcie_rate: 0.5,
+    };
+    let chaos = ChaosConfig {
+        plan: FaultPlan::scripted(vec![
+            FaultEvent {
+                at: 12.0,
+                kind: FaultKind::Crash {
+                    replica: 0,
+                    restart_after_s: Some(6.0),
+                },
+            },
+            FaultEvent {
+                at: brownout.start_s,
+                kind: FaultKind::Degrade {
+                    replica: 1,
+                    brownout,
+                },
+            },
+        ]),
+        autoscaler: Some(Autoscaler {
+            up_backlog_s: 1.0,
+            down_backlog_s: 0.2,
+            interval_s: 2.0,
+            cooldown_s: 4.0,
+            ..Autoscaler::new(2, 4)
+        }),
+        rollouts: vec![Rollout {
+            model: 0,
+            v2: N_MODELS - 1,
+            start_s: 20.0,
+            duration_s: 25.0,
+        }],
+        seed: 0xC4A05,
+        initial_replicas: Some(2),
+    };
+    let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
+    let config = ClusterConfig {
+        n_replicas: 4,
+        engine: DeltaZipConfig {
+            host_capacity_deltas: Some(5),
+            ..DeltaZipConfig::default()
+        },
+        admission: Some(AdmissionConfig {
+            defer_depth: 2,
+            defer_s: 2.0,
+            max_defers: 2,
+            shed_depth: 3,
+            ..AdmissionConfig::new(SloPolicy::tiered(N_MODELS, 4))
+        }),
+        prefetch: Some(ClusterPrefetch::default()),
+        ..ClusterConfig::default()
+    };
+    let router = PlacementAwareRouter::new(PlacementPlan::from_weights(&weights, 4));
+    let report = ClusterSim::new(vec![cost(); 4], config, Box::new(router))
+        .with_chaos(chaos)
+        .run(&tr);
+    let stats = report.chaos.clone().expect("chaos configured");
+    assert!(stats.crashes == 1 && stats.restarts == 1 && stats.brownouts == 1);
+    assert!(stats.scale_ups > 0 && stats.rollout_remapped > 0);
+    assert!(report.routing.prefetch_issued > 0 && report.routing.defer_events > 0);
+    let mut pin = Pin::new();
+    pin.metrics(&report.merged);
+    for m in &report.per_replica {
+        pin.metrics(m);
+    }
+    for s in &report.shed {
+        pin.word(s.id as u64);
+        pin.word(s.model as u64);
+        pin.f64(s.arrival);
+    }
+    let r = &report.routing;
+    for w in r.per_replica_requests.iter().copied().chain([
+        r.warm_routed,
+        r.cold_routed,
+        r.placement_misses,
+        r.defer_events,
+        r.shed,
+        r.prefetch_hints,
+        r.prefetch_issued,
+        r.prefetch_hits,
+    ]) {
+        pin.word(w as u64);
+    }
+    for w in [
+        stats.crashes,
+        stats.restarts,
+        stats.brownouts,
+        stats.lost_in_flight,
+        stats.shed_no_capacity,
+        stats.scale_ups,
+        stats.scale_downs,
+        stats.rollout_remapped,
+        stats.dropped_hints,
+        stats.min_live,
+        stats.max_live,
+    ] {
+        pin.word(w as u64);
+    }
+    check("cluster_chaos", pin.0, PIN_CLUSTER_CHAOS);
 }

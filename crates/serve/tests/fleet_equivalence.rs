@@ -2,13 +2,19 @@
 //! reproduce the retained lockstep front end
 //! (`ClusterSim::run_lockstep_reference`) **bit-identically** on every
 //! small-fleet configuration — plain, admission + prefetch, chaos with
-//! and without tracing, engine-level prefetch, and store-bound replicas.
+//! and without tracing, elastic (autoscaler from spares, rollout,
+//! brownout), total outage (park, then shed), engine-level prefetch, and
+//! store-bound replicas. Reports are compared float by float and the
+//! captured traces as Chrome JSON.
 //!
-//! Both front ends build the same per-replica assignments and share the
-//! replay stage, so any divergence is a front-end event-ordering bug:
-//! the unified `(at, class, seq)` heap must pop chaos-before-arrival at
-//! equal times and preserve per-class insertion order exactly like the
-//! old two-heap loop did.
+//! The two front ends call the same per-event handlers and share the
+//! replay stage; they differ only in their queue merge. So any
+//! divergence is an event-ordering bug: the unified `(at, class, seq)`
+//! heap must pop chaos-before-arrival at equal times and preserve
+//! per-class insertion order exactly like the old two-heap loop did. A
+//! bug inside a shared handler moves both runs alike and is invisible
+//! here; `determinism_pins.rs::cluster_chaos_run_is_pinned` guards the
+//! handlers instead.
 
 use dz_compress::codec::{CodecId, PackedLayer};
 use dz_compress::pack::CompressedMatrix;
@@ -21,8 +27,9 @@ use dz_serve::cluster::{
     PlacementAwareRouter, PlacementPlan, RoundRobinRouter,
 };
 use dz_serve::{
-    ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan,
-    PrefetchPolicy, SloPolicy, TraceConfig,
+    chrome_trace_json, Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding,
+    DeltaZipConfig, FaultEvent, FaultKind, FaultPlan, PrefetchPolicy, Rollout, SloPolicy,
+    TraceConfig,
 };
 use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
@@ -169,11 +176,21 @@ fn assert_same_report(a: &ClusterReport, b: &ClusterReport, tag: &str) {
 }
 
 /// Runs `build()`'s sim through both front ends (fresh sim each — the
-/// router keeps state) and asserts identical reports.
-fn differential(tag: &str, tr: &Trace, build: impl Fn() -> ClusterSim) {
-    let event_driven = build().run(tr);
-    let lockstep = build().run_lockstep_reference(tr);
+/// router keeps state) and asserts identical reports and identical
+/// captured traces (empty for untraced sims). Returns the event-driven
+/// report so a test can check its scenario really fired.
+fn differential(tag: &str, tr: &Trace, build: impl Fn() -> ClusterSim) -> ClusterReport {
+    let mut event_sim = build();
+    let event_driven = event_sim.run(tr);
+    let mut lockstep_sim = build();
+    let lockstep = lockstep_sim.run_lockstep_reference(tr);
     assert_same_report(&event_driven, &lockstep, tag);
+    assert_eq!(
+        chrome_trace_json(&event_sim.take_trace()),
+        chrome_trace_json(&lockstep_sim.take_trace()),
+        "{tag}: traces diverge"
+    );
+    event_driven
 }
 
 #[test]
@@ -287,6 +304,134 @@ fn chaos_with_tracing_matches_lockstep() {
         .with_chaos(chaos_config())
         .with_tracing(TraceConfig::default())
     });
+}
+
+#[test]
+fn elastic_rollout_brownout_matches_lockstep() {
+    // One live replica and two cold spares under an eager autoscaler
+    // (scale-ups and drain-downs), a rolling v1 -> v2 remap drawing on
+    // the chaos RNG, and a brownout inflating one replica's load
+    // estimates. Traced, so the gauge/scale/rollout lane is compared too.
+    let tr = trace(59, 2.0, 60.0);
+    let report = differential("elastic-3x", &tr, || {
+        ClusterSim::new(
+            vec![cost(); 3],
+            ClusterConfig {
+                n_replicas: 3,
+                prefetch: Some(ClusterPrefetch::default()),
+                ..ClusterConfig::default()
+            },
+            Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+                PopularityDist::Zipf { alpha: 1.3 },
+                N_MODELS,
+                3,
+            ))),
+        )
+        .with_chaos(elastic_chaos_config())
+        .with_tracing(TraceConfig::default())
+    });
+    let stats = report.chaos.expect("chaos configured");
+    assert!(
+        stats.scale_ups > 0 && stats.scale_downs > 0,
+        "autoscaler did not cycle: {stats:?}"
+    );
+    assert!(stats.rollout_remapped > 0, "rollout never remapped");
+    assert_eq!(stats.brownouts, 1);
+}
+
+/// Autoscaler from one live replica (two spares), a rollout of model 0
+/// onto model 15, and a brownout on replica 0.
+fn elastic_chaos_config() -> ChaosConfig {
+    let brownout = Brownout {
+        start_s: 20.0,
+        end_s: 35.0,
+        disk_rate: 0.2,
+        pcie_rate: 0.5,
+    };
+    ChaosConfig {
+        plan: FaultPlan::scripted(vec![FaultEvent {
+            at: brownout.start_s,
+            kind: FaultKind::Degrade {
+                replica: 0,
+                brownout,
+            },
+        }]),
+        autoscaler: Some(Autoscaler {
+            up_backlog_s: 1.0,
+            down_backlog_s: 0.2,
+            interval_s: 2.0,
+            cooldown_s: 4.0,
+            ..Autoscaler::new(1, 3)
+        }),
+        rollouts: vec![Rollout {
+            model: 0,
+            v2: N_MODELS - 1,
+            start_s: 15.0,
+            duration_s: 20.0,
+        }],
+        seed: 0xE1A5,
+        initial_replicas: Some(1),
+    }
+}
+
+#[test]
+fn total_outage_parks_then_sheds_like_lockstep() {
+    // Every replica crashes. Replica 1 restarts once, so requests that
+    // arrive while the fleet is dark park until the restart; its second
+    // crash has no restart, so later requests shed for lack of capacity.
+    let tr = trace(61, 0.5, 80.0);
+    let report = differential("outage-2x", &tr, || {
+        ClusterSim::new(
+            vec![cost(); 2],
+            ClusterConfig {
+                n_replicas: 2,
+                ..ClusterConfig::default()
+            },
+            Box::new(RoundRobinRouter::new()),
+        )
+        .with_chaos(ChaosConfig::faults(
+            FaultPlan::scripted(vec![
+                FaultEvent {
+                    at: 10.0,
+                    kind: FaultKind::Crash {
+                        replica: 0,
+                        restart_after_s: None,
+                    },
+                },
+                FaultEvent {
+                    at: 15.0,
+                    kind: FaultKind::Crash {
+                        replica: 1,
+                        restart_after_s: Some(8.0),
+                    },
+                },
+                FaultEvent {
+                    at: 60.0,
+                    kind: FaultKind::Crash {
+                        replica: 1,
+                        restart_after_s: None,
+                    },
+                },
+            ]),
+            0x0D0A,
+        ))
+        .with_tracing(TraceConfig::default())
+    });
+    let stats = report.chaos.expect("chaos configured");
+    assert_eq!((stats.crashes, stats.restarts), (3, 1));
+    assert_eq!(stats.min_live, 0, "the fleet never went dark");
+    assert!(
+        stats.shed_no_capacity > 0,
+        "nothing shed after the last crash"
+    );
+    assert!(
+        report
+            .merged
+            .records
+            .iter()
+            .any(|r| r.arrival > 15.0 && r.arrival < 23.0),
+        "no request parked through the outage"
+    );
 }
 
 #[test]

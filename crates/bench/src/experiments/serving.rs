@@ -4,8 +4,8 @@ use super::{md_table, Report};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraEngine,
-    LoraServingConfig, Metrics, PreemptionPolicy, VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, LoraEngine, LoraServingConfig, Metrics,
+    PreemptionPolicy, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -34,9 +34,7 @@ fn dz_engine(cost: CostModel, n: usize) -> DeltaZipEngine {
 }
 
 fn lora_engine(cost: CostModel, config: LoraServingConfig) -> LoraEngine {
-    EngineBuilder::new(cost)
-        .adapters(config)
-        .build_adapter_only()
+    LoraEngine { cost, config }
 }
 
 fn dist_name(pop: PopularityDist) -> &'static str {

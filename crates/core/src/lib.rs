@@ -10,9 +10,9 @@
 //!   compression metadata ([`manager`]),
 //! * the **Serving Engine** — [`DeltaZip::generate_batch`] actually decodes
 //!   batched requests for *different* variants through the decoupled
-//!   base-plus-SBMM path on CPU, and [`DeltaZip::simulate`] replays traces
-//!   on the calibrated GPU performance model for the paper's end-to-end
-//!   serving experiments.
+//!   base-plus-SBMM path on CPU, and a [`DeltaZipEngine`] built by
+//!   [`EngineBuilder`] replays traces on the calibrated GPU performance
+//!   model for the paper's end-to-end serving experiments.
 //!
 //! # Examples
 //!
@@ -68,17 +68,15 @@ pub use dz_serve::{
 };
 pub use dz_serve::{
     ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, CostModel, DeltaStoreBinding,
-    DeltaZipConfig, EngineBuilder, LeastLoadedRouter, LoadProfile, Metrics, PlacementAwareRouter,
-    PlacementPlan, PopularityPrefetch, PrefetchConfig, PrefetchHint, PrefetchPolicy, Prefetcher,
-    QueueLookahead, RoundRobinRouter, Router, SwapStats, ToppingsStats, TransferTimeline,
-    VariantCatalog, VariantKind, VariantSpec,
+    DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LeastLoadedRouter, LoadProfile, Metrics,
+    PlacementAwareRouter, PlacementPlan, PopularityPrefetch, PrefetchConfig, PrefetchHint,
+    PrefetchPolicy, Prefetcher, QueueLookahead, RoundRobinRouter, Router, SwapStats, ToppingsStats,
+    TransferTimeline, VariantCatalog, VariantKind, VariantSpec,
 };
-use dz_serve::{DeltaZipEngine, Engine};
 pub use dz_store::{
     ArtifactId, DecodeStats, DecodeThroughput, DecodedFetch, PrefetchOutcome, Registry,
     TieredDeltaStore, Warmth,
 };
-use dz_workload::Trace;
 pub use manager::{params_hash, BaseId, ModelManager, VariantArtifact, VariantId, VariantInfo};
 
 /// Errors surfaced by the public API.
@@ -391,12 +389,6 @@ impl DeltaZip {
         }
     }
 
-    /// Replays a trace on the calibrated GPU performance model with the
-    /// DeltaZip engine (the paper's end-to-end serving path).
-    pub fn simulate(&self, trace: &Trace, cost: CostModel, config: DeltaZipConfig) -> Metrics {
-        DeltaZipEngine::new(cost, config).run(trace)
-    }
-
     /// Persists a delta variant into the registry as a `.dza` artifact
     /// stamped with its base's lineage hash.
     pub fn persist_variant(
@@ -417,85 +409,6 @@ impl DeltaZip {
     ) -> Result<VariantId, DzError> {
         self.manager
             .register_variant_from_artifact(base, registry, id)
-    }
-
-    /// Replays a trace across a multi-replica cluster behind a pluggable
-    /// routing policy (round-robin, least-loaded, or placement-aware) —
-    /// the fleet-scale serving path. See
-    /// [`dz_serve::cluster`] for routers, placement plans, and SLO-aware
-    /// admission control.
-    pub fn simulate_cluster(
-        &self,
-        trace: &Trace,
-        costs: Vec<CostModel>,
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-    ) -> ClusterReport {
-        ClusterSim::new(costs, config, router).run(trace)
-    }
-
-    /// Replays a trace with the engine bound to a tiered artifact store:
-    /// per-request load waits reflect each artifact's real compressed
-    /// bytes (host hit → PCIe only; miss → disk + PCIe). Returns the
-    /// binding so callers can inspect the store's load accounting.
-    pub fn simulate_with_store(
-        &self,
-        trace: &Trace,
-        cost: CostModel,
-        config: DeltaZipConfig,
-        binding: DeltaStoreBinding,
-    ) -> (Metrics, DeltaStoreBinding) {
-        let mut engine = EngineBuilder::new(cost)
-            .scheduler(config)
-            .store(binding)
-            .build();
-        let metrics = engine.run(trace);
-        let binding = engine.delta_store.take().expect("binding attached above");
-        (metrics, binding)
-    }
-
-    /// Replays a trace through the unified toppings engine: each model's
-    /// [`VariantKind`] (base, LoRA, delta, or stacked delta+LoRA) comes
-    /// from the catalog, and one continuous batch serves all four kinds
-    /// subject to the scheduler's `max_toppings_per_batch` cap — delta
-    /// requests dispatch through SBMM, adapters through SGMV.
-    ///
-    /// ```
-    /// use deltazip::{CostModel, DeltaZip, DeltaZipConfig, VariantCatalog};
-    /// use dz_gpusim::shapes::ModelShape;
-    /// use dz_gpusim::spec::NodeSpec;
-    /// use dz_workload::{PopularityDist, Trace, TraceSpec};
-    ///
-    /// let dz = DeltaZip::new();
-    /// let trace = Trace::generate(TraceSpec {
-    ///     n_models: 6,
-    ///     arrival_rate: 1.0,
-    ///     duration_s: 10.0,
-    ///     popularity: PopularityDist::Zipf { alpha: 1.5 },
-    ///     seed: 7,
-    /// });
-    /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    /// let metrics = dz.simulate_toppings(
-    ///     &trace,
-    ///     cost,
-    ///     DeltaZipConfig::default(),
-    ///     VariantCatalog::interleaved(6, 16),
-    /// );
-    /// assert_eq!(metrics.len(), trace.len());
-    /// assert_eq!(metrics.toppings.total_reqs(), trace.len());
-    /// ```
-    pub fn simulate_toppings(
-        &self,
-        trace: &Trace,
-        cost: CostModel,
-        config: DeltaZipConfig,
-        catalog: VariantCatalog,
-    ) -> Metrics {
-        EngineBuilder::new(cost)
-            .scheduler(config)
-            .catalog(catalog)
-            .build()
-            .run(trace)
     }
 }
 
@@ -523,9 +436,8 @@ mod tests {
     fn simulate_cluster_through_facade() {
         use dz_gpusim::shapes::ModelShape;
         use dz_gpusim::spec::NodeSpec;
-        use dz_workload::{PopularityDist, TraceSpec};
+        use dz_workload::{PopularityDist, Trace, TraceSpec};
 
-        let dz = DeltaZip::new();
         let trace = Trace::generate(TraceSpec {
             n_models: 6,
             arrival_rate: 1.0,
@@ -535,12 +447,12 @@ mod tests {
         });
         let costs = vec![CostModel::new(NodeSpec::a800_node(2), ModelShape::llama13b()); 2];
         let plan = PlacementPlan::from_popularity(trace.spec.popularity, 6, 2);
-        let report = dz.simulate_cluster(
-            &trace,
+        let report = ClusterSim::new(
             costs,
             ClusterConfig::replicas(2),
             Box::new(PlacementAwareRouter::new(plan)),
-        );
+        )
+        .run(&trace);
         assert_eq!(report.merged.len(), trace.len());
         assert_eq!(report.goodput(), 1.0);
     }

@@ -1,167 +1,106 @@
-//! One typed construction surface for every serving engine.
+//! The one construction surface for [`DeltaZipEngine`].
 //!
-//! [`EngineBuilder`] subsumes the historical per-engine constructors
-//! (`DeltaZipEngine::new` + `with_*` chains): declare
-//! the cost model, the scheduler knobs, the variant catalog, and the
-//! optional store/tracing/prefetch attachments in one place, then
-//! [`build`](EngineBuilder::build) the unified toppings engine — or
-//! [`build_adapter_only`](EngineBuilder::build_adapter_only) the legacy
-//! Punica-style adapter engine for baselines.
+//! [`EngineBuilder`] is the only way to attach anything to an engine:
+//! declare the cost model, the scheduler knobs, the variant catalog, and
+//! the optional store/tracing/prefetch/policy attachments in one place,
+//! then [`build`](EngineBuilder::build) the unified toppings engine.
+//! [`DeltaZipEngine::new`] is the bare engine the builder starts from.
+//! The adapter-only baseline is a plain struct:
+//! [`LoraEngine { cost, config }`](crate::lora::LoraEngine).
 
 use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
-use crate::lora::{LoraEngine, LoraServingConfig};
 use crate::predictor::LengthEstimator;
 use crate::slo::SloPolicy;
 use crate::swap::{Brownout, Prefetcher};
 use crate::tuning::DynamicN;
-use crate::variant::{VariantCatalog, VariantSpec};
+use crate::variant::VariantCatalog;
 use dz_trace::{TraceConfig, Tracer};
 
-/// Builder for serving engines over one [`CostModel`].
+/// Builder for a [`DeltaZipEngine`] over one [`CostModel`].
 ///
 /// ```
 /// use dz_gpusim::shapes::ModelShape;
 /// use dz_gpusim::spec::NodeSpec;
-/// use dz_serve::{CostModel, EngineBuilder, VariantCatalog};
+/// use dz_serve::{CostModel, DeltaZipConfig, EngineBuilder, VariantCatalog};
 ///
 /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
 /// let engine = EngineBuilder::new(cost)
+///     .scheduler(DeltaZipConfig {
+///         max_toppings_per_batch: Some(4),
+///         ..DeltaZipConfig::default()
+///     })
 ///     .catalog(VariantCatalog::interleaved(6, 16))
-///     .max_toppings_per_batch(4)
 ///     .build();
 /// assert!(engine.catalog.is_some());
 /// ```
 pub struct EngineBuilder {
-    cost: CostModel,
-    scheduler: DeltaZipConfig,
-    adapters: LoraServingConfig,
-    catalog: Option<VariantCatalog>,
-    store: Option<DeltaStoreBinding>,
-    tracing: Option<TraceConfig>,
-    prefetcher: Option<Box<dyn Prefetcher>>,
-    slo: Option<SloPolicy>,
-    estimator: Option<LengthEstimator>,
-    dynamic_n: Option<DynamicN>,
-    brownouts: Vec<Brownout>,
+    engine: DeltaZipEngine,
 }
 
 impl EngineBuilder {
-    /// Starts a builder with default scheduler and adapter settings.
+    /// Starts a builder with the default scheduler and no attachments.
     pub fn new(cost: CostModel) -> Self {
         EngineBuilder {
-            cost,
-            scheduler: DeltaZipConfig::default(),
-            adapters: LoraServingConfig::default(),
-            catalog: None,
-            store: None,
-            tracing: None,
-            prefetcher: None,
-            slo: None,
-            estimator: None,
-            dynamic_n: None,
-            brownouts: Vec::new(),
+            engine: DeltaZipEngine::new(cost, DeltaZipConfig::default()),
         }
     }
 
     /// Sets the DeltaZip scheduler configuration (batch caps, strategy,
-    /// preemption/resume policies, swap overlap, toppings caps).
+    /// preemption/resume policies, swap overlap, toppings caps),
+    /// [validated](DeltaZipConfig::validated) as by [`DeltaZipEngine::new`].
     pub fn scheduler(mut self, config: DeltaZipConfig) -> Self {
-        self.scheduler = config;
+        self.engine.config = config.validated();
         self
     }
 
-    /// Sets the adapter-serving configuration used by
-    /// [`build_adapter_only`](Self::build_adapter_only).
-    pub fn adapters(mut self, config: LoraServingConfig) -> Self {
-        self.adapters = config;
-        self
-    }
-
-    /// Registers one model's variant spec, appending to the catalog in
-    /// model-id order (the n-th call describes model `n`).
-    ///
-    /// ```
-    /// use dz_gpusim::shapes::ModelShape;
-    /// use dz_gpusim::spec::NodeSpec;
-    /// use dz_serve::{CostModel, EngineBuilder, VariantKind, VariantSpec};
-    ///
-    /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    /// let engine = EngineBuilder::new(cost)
-    ///     .variant(VariantSpec::base())
-    ///     .variant(VariantSpec::lora(16))
-    ///     .variant(VariantSpec::delta())
-    ///     .build();
-    /// let catalog = engine.catalog.as_ref().unwrap();
-    /// assert_eq!(catalog.kind_of(1), VariantKind::Lora { rank: 16 });
-    /// ```
-    pub fn variant(mut self, spec: VariantSpec) -> Self {
-        self.catalog
-            .get_or_insert_with(VariantCatalog::default)
-            .push(spec);
-        self
-    }
-
-    /// Installs a whole variant catalog at once (replacing any specs
-    /// registered via [`variant`](Self::variant)).
+    /// Installs the variant catalog (index = trace model id).
     pub fn catalog(mut self, catalog: VariantCatalog) -> Self {
-        self.catalog = Some(catalog);
-        self
-    }
-
-    /// Caps the distinct non-base toppings co-batched per iteration.
-    pub fn max_toppings_per_batch(mut self, cap: usize) -> Self {
-        self.scheduler.max_toppings_per_batch = Some(cap);
-        self
-    }
-
-    /// Forbids mixing delta-backed and pure-LoRA toppings in one batch
-    /// (the segregated-pool baseline of `exp bench-toppings`).
-    pub fn segregate_kinds(mut self, segregate: bool) -> Self {
-        self.scheduler.segregate_kinds = segregate;
+        self.engine.catalog = Some(catalog);
         self
     }
 
     /// Attaches an artifact store binding: delta loads are charged by the
     /// bound artifacts' real compressed byte sizes.
     pub fn store(mut self, binding: DeltaStoreBinding) -> Self {
-        self.store = Some(binding);
+        self.engine.delta_store = Some(binding);
         self
     }
 
     /// Enables structured simulation-clock tracing.
     pub fn tracing(mut self, config: TraceConfig) -> Self {
-        self.tracing = Some(config);
+        self.engine.tracer = Tracer::enabled(config);
         self
     }
 
-    /// Enables predictive disk→host delta prefetch.
+    /// Enables predictive disk→host delta prefetch under the default
+    /// bandwidth budget (tune it via the engine's `prefetch_config`).
     pub fn prefetcher(mut self, prefetcher: Box<dyn Prefetcher>) -> Self {
-        self.prefetcher = Some(prefetcher);
+        self.engine.prefetcher = Some(prefetcher);
         self
     }
 
     /// Enables SLO-priority queue scanning.
     pub fn slo(mut self, policy: SloPolicy) -> Self {
-        self.slo = Some(policy);
+        self.engine.slo_policy = Some(policy);
         self
     }
 
     /// Replaces the output-length estimator.
     pub fn estimator(mut self, estimator: LengthEstimator) -> Self {
-        self.estimator = Some(estimator);
+        self.engine.estimator = estimator;
         self
     }
 
     /// Enables online `N` tuning.
     pub fn dynamic_n(mut self, controller: DynamicN) -> Self {
-        self.dynamic_n = Some(controller);
+        self.engine.dynamic_n = Some(controller);
         self
     }
 
     /// Installs a degraded-channel fault schedule.
     pub fn brownouts(mut self, schedule: Vec<Brownout>) -> Self {
-        self.brownouts = schedule;
+        self.engine.brownouts = schedule;
         self
     }
 
@@ -169,36 +108,13 @@ impl EngineBuilder {
     /// base, LoRA, delta, and stacked variants per the catalog (no catalog
     /// means every model is a delta — the legacy behavior).
     pub fn build(self) -> DeltaZipEngine {
-        let mut engine = DeltaZipEngine::new(self.cost, self.scheduler);
-        engine.catalog = self.catalog;
-        engine.delta_store = self.store;
-        engine.prefetcher = self.prefetcher;
-        engine.slo_policy = self.slo;
-        engine.dynamic_n = self.dynamic_n;
-        engine.brownouts = self.brownouts;
-        if let Some(estimator) = self.estimator {
-            engine.estimator = estimator;
-        }
-        if let Some(config) = self.tracing {
-            engine.tracer = Tracer::enabled(config);
-        }
-        engine
-    }
-
-    /// Builds the legacy adapter-only [`LoraEngine`] baseline (ignores
-    /// catalog, store, and every delta-side attachment).
-    pub fn build_adapter_only(self) -> LoraEngine {
-        LoraEngine {
-            cost: self.cost,
-            config: self.adapters,
-        }
+        self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variant::VariantKind;
     use dz_gpusim::shapes::ModelShape;
     use dz_gpusim::spec::NodeSpec;
 
@@ -216,32 +132,15 @@ mod tests {
     }
 
     #[test]
-    fn variant_calls_accumulate_in_model_order() {
-        let e = EngineBuilder::new(cost())
-            .variant(VariantSpec::base())
-            .variant(VariantSpec::stacked(8))
-            .build();
-        let cat = e.catalog.expect("catalog registered");
-        assert_eq!(cat.kind_of(0), VariantKind::Base);
-        assert_eq!(cat.kind_of(1), VariantKind::Stacked { rank: 8 });
-    }
-
-    #[test]
     fn toppings_cap_lands_in_scheduler_config() {
         let e = EngineBuilder::new(cost())
-            .max_toppings_per_batch(3)
-            .segregate_kinds(true)
+            .scheduler(DeltaZipConfig {
+                max_toppings_per_batch: Some(3),
+                segregate_kinds: true,
+                ..DeltaZipConfig::default()
+            })
             .build();
         assert_eq!(e.config.max_toppings_per_batch, Some(3));
         assert!(e.config.segregate_kinds);
-    }
-
-    #[test]
-    fn adapter_only_build_carries_config() {
-        let e = EngineBuilder::new(cost())
-            .adapters(LoraServingConfig::rosa(8, 0.01))
-            .build_adapter_only();
-        assert_eq!(e.config.rank, 8);
-        assert_eq!(e.config.sparse_density, 0.01);
     }
 }

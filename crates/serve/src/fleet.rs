@@ -208,9 +208,10 @@ pub struct FleetFault {
 }
 
 /// Reactive autoscaling on the fleet's event clock: every `interval_s`
-/// a tick samples mean live backlog and activates a dormant replica
+/// a tick samples mean live backlog and activates a drained replica
 /// (above `hi_backlog_s`) or drains the highest-id live one (below
-/// `lo_backlog_s`, never under `min_live`).
+/// `lo_backlog_s`, never under `min_live`). A replica a fault killed is
+/// not a spare: it rejoins only at its own restart.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetAutoscale {
     /// Seconds between scale ticks.
@@ -381,6 +382,9 @@ enum FleetEvent {
 #[derive(Debug, Clone, Default)]
 struct FleetReplica {
     alive: bool,
+    /// Killed by a fault and waiting for its scheduled restart — the
+    /// autoscaler must not "activate" it early.
+    pending_restart: bool,
     /// Simulation time the replica drains its queue (s).
     busy_until: f64,
     queue_depth: usize,
@@ -520,6 +524,7 @@ impl FleetSim {
                     match down_s {
                         None => {
                             replicas[replica].alive = true;
+                            replicas[replica].pending_restart = false;
                             replicas[replica].busy_until = t;
                             replicas[replica].queue_depth = 0;
                             live_count += 1;
@@ -530,6 +535,7 @@ impl FleetSim {
                         // down is a no-op.
                         Some(down) if replicas[replica].alive => {
                             replicas[replica].alive = false;
+                            replicas[replica].pending_restart = true;
                             replicas[replica].warm.clear();
                             live_count -= 1;
                             events.push_class(
@@ -584,8 +590,11 @@ impl FleetSim {
                         f64::INFINITY
                     };
                     if mean > scale.hi_backlog_s {
-                        // Activate the lowest-id dormant replica.
-                        if let Some(i) = replicas.iter().position(|r| !r.alive) {
+                        // Activate the lowest-id dormant replica; one
+                        // a fault killed comes back only at its restart.
+                        if let Some(i) =
+                            replicas.iter().position(|r| !r.alive && !r.pending_restart)
+                        {
                             replicas[i].alive = true;
                             replicas[i].busy_until = t;
                             replicas[i].queue_depth = 0;
@@ -1058,6 +1067,43 @@ mod tests {
 
     #[test]
     fn autoscaler_activates_dormant_capacity_under_load() {
+        let mut tr = Trace::generate_fast(TraceSpec {
+            n_models: 16,
+            arrival_rate: 40.0,
+            duration_s: 30.0,
+            popularity: PopularityDist::Zipf { alpha: 1.2 },
+            seed: 17,
+        });
+        // Ten idle seconds first: the autoscaler drains the fleet down to
+        // `min_live`, then the burst must reactivate drained replicas.
+        for r in &mut tr.requests {
+            r.arrival += 10.0;
+        }
+        let mut cfg = FleetConfig::new(8);
+        cfg.autoscale = Some(FleetAutoscale {
+            interval_s: 1.0,
+            hi_backlog_s: 0.5,
+            lo_backlog_s: 0.01,
+            min_live: 2,
+        });
+        cfg.trace = Some(TraceConfig::default());
+        let plan = plan_for(&tr, 8);
+        let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 5 }).run(&tr);
+        assert_eq!(rep.served + rep.shed, tr.len());
+        let live: Vec<usize> = rep.tracks[0]
+            .log
+            .gauges()
+            .map(|g| g.live_replicas)
+            .collect();
+        let trough = live.iter().position(|&l| l == 2).expect("idle drain");
+        assert!(
+            live[trough..].iter().any(|&l| l > 2),
+            "autoscaler must add capacity: {live:?}"
+        );
+    }
+
+    #[test]
+    fn autoscaler_never_activates_a_replica_awaiting_restart() {
         let tr = Trace::generate_fast(TraceSpec {
             n_models: 16,
             arrival_rate: 40.0,
@@ -1065,26 +1111,38 @@ mod tests {
             popularity: PopularityDist::Zipf { alpha: 1.2 },
             seed: 17,
         });
-        let mut cfg = FleetConfig::new(8);
-        // Start with half the fleet drained via an immediate tick policy:
-        // high load must activate dormant replicas.
-        cfg.autoscale = Some(FleetAutoscale {
+        let autoscale = Some(FleetAutoscale {
             interval_s: 1.0,
             hi_backlog_s: 0.5,
             lo_backlog_s: 0.01,
-            min_live: 2,
+            min_live: 1,
         });
-        cfg.faults = (4..8)
-            .map(|r| FleetFault {
-                at: 0.0,
-                replica: r,
-                down_s: 1e9, // never restarts on its own
-            })
-            .collect();
-        let plan = plan_for(&tr, 8);
-        let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 5 }).run(&tr);
+        let fault = |at, down_s| FleetFault {
+            at,
+            replica: 0,
+            down_s,
+        };
+        // r0 is down 0.5..10.5 s; the overloaded r1 must not pull it back
+        // early, or its restart counts it live a second time.
+        let mut cfg = FleetConfig::new(2);
+        cfg.autoscale = autoscale;
+        cfg.faults = vec![fault(0.5, 10.0)];
+        let rep = FleetSim::new(cfg, plan_for(&tr, 2), FleetRouter::RoundRobin).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
-        assert!(rep.peak_live > 4, "autoscaler must add capacity");
+        assert!(
+            rep.peak_live <= 2,
+            "peak_live {} > 2 replicas",
+            rep.peak_live
+        );
+        // A lone replica killed twice: after the second kill nothing is
+        // live, so arrivals are shed instead of routed.
+        let mut cfg = FleetConfig::new(1);
+        cfg.autoscale = autoscale;
+        cfg.faults = vec![fault(0.5, 10.0), fault(20.5, 1e9)];
+        let rep = FleetSim::new(cfg, plan_for(&tr, 1), FleetRouter::RoundRobin).run(&tr);
+        assert_eq!(rep.served + rep.shed, tr.len());
+        assert!(rep.shed > 0 && rep.served > 0);
+        assert_eq!(rep.peak_live, 1);
     }
 
     #[test]

@@ -180,9 +180,10 @@ mod tests {
     }
 
     fn lora(config: LoraServingConfig) -> LoraEngine {
-        crate::builder::EngineBuilder::new(cost())
-            .adapters(config)
-            .build_adapter_only()
+        LoraEngine {
+            cost: cost(),
+            config,
+        }
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl VariantCatalog {
         VariantCatalog { specs }
     }
 
-    /// Appends one spec (its model id is the previous length).
-    pub fn push(&mut self, spec: VariantSpec) {
-        self.specs.push(spec);
-    }
-
     /// Number of registered variants.
     pub fn len(&self) -> usize {
         self.specs.len()

@@ -7,7 +7,9 @@
 //! that future refactors keep every run replayable bit-for-bit.
 //! `cluster_chaos_run_is_pinned` was harvested the same way, before the
 //! cluster front end's event handlers became shared by `ClusterSim::run`
-//! and its lockstep oracle.
+//! and its lockstep oracle. `engine_attachments_run_is_pinned` was
+//! harvested from the engine's former `with_*` setter chain, before
+//! `EngineBuilder` became the only way to attach anything to an engine.
 //!
 //! If a PR changes one of these values *on purpose* (a scheduling or
 //! cost-model change), re-pin deliberately: run with
@@ -21,9 +23,11 @@ use dz_serve::cluster::{
     PlacementPlan,
 };
 use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
+use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
     Autoscaler, Brownout, ChaosConfig, CostModel, DeltaZipConfig, Engine, EngineBuilder,
-    FaultEvent, FaultKind, FaultPlan, Metrics, Rollout, SloPolicy, VariantCatalog,
+    FaultEvent, FaultKind, FaultPlan, LengthEstimator, Metrics, PreemptionPolicy, QueueLookahead,
+    Rollout, SloPolicy, TraceConfig, VariantCatalog,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -92,6 +96,7 @@ const PIN_FLEET: u64 = 0x12c99df2cbd0593c;
 const PIN_TOPPINGS: u64 = 0x01e21a5090efc51a;
 const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
 const PIN_CLUSTER_CHAOS: u64 = 0x4a3ae34f6c2b238e;
+const PIN_ENGINE_ATTACHMENTS: u64 = 0x8f93cdc7a6db77f4;
 
 /// Fleet-scale event core: p2c routing over 24 replicas exercises the
 /// per-replica warm-set LRU (`FleetReplica::warm`) on every request.
@@ -267,4 +272,46 @@ fn cluster_chaos_run_is_pinned() {
         pin.word(w as u64);
     }
     check("cluster_chaos", pin.0, PIN_CLUSTER_CHAOS);
+}
+
+/// One engine carrying every attachment at once: interleaved catalog,
+/// lookahead prefetcher, SLO priority scan, a quantile length estimator
+/// behind length-aware preemption, online `N`, a brownout window and
+/// tracing. A tight host cap over many models keeps deltas swapping.
+#[test]
+fn engine_attachments_run_is_pinned() {
+    let tr = trace(19, 2.0, 80.0);
+    let cfg = DeltaZipConfig {
+        max_concurrent_deltas: 3,
+        host_capacity_deltas: Some(3),
+        max_toppings_per_batch: Some(4),
+        preemption: PreemptionPolicy::LengthAware { spare_tokens: 16 },
+        ..DeltaZipConfig::default()
+    };
+    let brownout = Brownout {
+        start_s: 20.0,
+        end_s: 40.0,
+        disk_rate: 0.25,
+        pcie_rate: 0.5,
+    };
+    let mut engine = EngineBuilder::new(cost())
+        .scheduler(cfg)
+        .catalog(VariantCatalog::interleaved(N_MODELS, 16))
+        .prefetcher(Box::new(QueueLookahead::new(4)))
+        .slo(SloPolicy::tiered(N_MODELS, 4))
+        .estimator(LengthEstimator::quantile(0.75))
+        .dynamic_n(DynamicN::new(DynamicNConfig::default(), 3))
+        .brownouts(vec![brownout])
+        .tracing(TraceConfig::default())
+        .build();
+    let m = engine.run(&tr);
+    let log = engine.tracer.take_log().expect("tracing enabled");
+    assert!(m.swap.demand_loads > 0, "trace must force delta swaps");
+    let mut pin = Pin::new();
+    pin.metrics(&m);
+    pin.word(m.swap.demand_loads as u64);
+    pin.word(m.swap.prefetch_issued as u64);
+    pin.word(m.swap.prefetch_hits as u64);
+    pin.word(log.len() as u64);
+    check("engine_attachments", pin.0, PIN_ENGINE_ATTACHMENTS);
 }

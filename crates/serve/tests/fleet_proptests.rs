@@ -143,6 +143,8 @@ proptest! {
         }
         prop_assert_eq!(a.served, b.served);
         prop_assert_eq!(a.shed, b.shed);
+        prop_assert!(a.peak_live <= n_replicas, "peak_live {} > {n_replicas}", a.peak_live);
+        prop_assert_eq!(a.served + a.shed, trace.len());
         prop_assert_eq!(a.p99_e2e_s.to_bits(), b.p99_e2e_s.to_bits());
         // And the log itself is time-monotone: the heap's clock contract
         // holds end-to-end through every handler.

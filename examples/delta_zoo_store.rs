@@ -8,14 +8,13 @@
 //! cargo run --release --example delta_zoo_store
 //! ```
 
-use deltazip::DeltaZip;
+use deltazip::{CostModel, DeltaStoreBinding, DeltaZip, Engine, EngineBuilder};
 use dz_compress::pipeline::DeltaCompressConfig;
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_model::tasks::{Corpus, NliTask, SentimentTask};
 use dz_model::train::{finetune_fmt, pretrain, TrainConfig};
 use dz_model::transformer::{test_config, Params};
-use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig};
 use dz_store::{Registry, TieredDeltaStore};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -69,8 +68,8 @@ fn main() {
         popularity: PopularityDist::Zipf { alpha: 1.5 },
         seed: 3,
     });
-    let (metrics, binding) =
-        dz.simulate_with_store(&trace, cost, DeltaZipConfig::default(), binding);
+    let mut engine = EngineBuilder::new(cost).store(binding).build();
+    let metrics = engine.run(&trace);
 
     let total_load: f64 = metrics.records.iter().map(|r| r.load_s).sum();
     println!(
@@ -79,6 +78,7 @@ fn main() {
         metrics.mean_e2e(),
         total_load * 1e3
     );
+    let binding = engine.delta_store.as_ref().expect("store attached");
     let stats = binding.store().total_stats();
     println!(
         "store: {} disk loads ({} bytes), {} host hits ({} bytes)",

@@ -12,7 +12,7 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraServingConfig,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, LoraEngine, LoraServingConfig,
     VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::stats::{idle_fraction, invocation_matrix, render_heatmap};
@@ -54,11 +54,10 @@ fn main() {
                 ..DeltaZipConfig::default()
             },
         )),
-        Box::new(
-            EngineBuilder::new(cost)
-                .adapters(LoraServingConfig::default())
-                .build_adapter_only(),
-        ),
+        Box::new(LoraEngine {
+            cost,
+            config: LoraServingConfig::default(),
+        }),
     ];
     println!(
         "{:<18} {:>10} {:>10} {:>12} {:>14}",

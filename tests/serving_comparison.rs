@@ -4,7 +4,7 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraServingConfig, Metrics,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, LoraEngine, LoraServingConfig, Metrics,
     VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -52,11 +52,10 @@ fn all_engines_conserve_requests() {
     let engines: Vec<Box<dyn Engine>> = vec![
         Box::new(DeltaZipEngine::new(c, DeltaZipConfig::default())),
         Box::new(VllmScbEngine::new(c, VllmScbConfig::default())),
-        Box::new(
-            EngineBuilder::new(c)
-                .adapters(LoraServingConfig::default())
-                .build_adapter_only(),
-        ),
+        Box::new(LoraEngine {
+            cost: c,
+            config: LoraServingConfig::default(),
+        }),
     ];
     for mut e in engines {
         let m = e.run(&tr);

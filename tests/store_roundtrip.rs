@@ -12,7 +12,7 @@ use dz_gpusim::spec::NodeSpec;
 use dz_model::tasks::{Corpus, NliTask, SentimentTask};
 use dz_model::train::{finetune_fmt, pretrain, TrainConfig};
 use dz_model::transformer::{test_config, Params};
-use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig};
+use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig, Engine, EngineBuilder, Metrics};
 use dz_store::{Registry, TieredDeltaStore};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
@@ -22,6 +22,23 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("deltazip-roundtrip-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Replays `trace` on a fresh engine bound to the store, handing the
+/// binding back so the next replay sees the same store state.
+fn serve(
+    trace: &Trace,
+    cost: CostModel,
+    config: DeltaZipConfig,
+    binding: DeltaStoreBinding,
+) -> (Metrics, DeltaStoreBinding) {
+    let mut engine = EngineBuilder::new(cost)
+        .scheduler(config)
+        .store(binding)
+        .build();
+    let metrics = engine.run(trace);
+    let binding = engine.delta_store.take().expect("store attached");
+    (metrics, binding)
 }
 
 fn one_request_trace(model: usize, n_models: usize) -> Trace {
@@ -116,7 +133,7 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
     // for its artifact's real byte size — max(disk + PCIe, decode) at the
     // decode throughput the store measured while serving this very fetch.
     let trace_sent = one_request_trace(0, 2);
-    let (m_cold, binding) = dz2.simulate_with_store(&trace_sent, cost, config, binding);
+    let (m_cold, binding) = serve(&trace_sent, cost, config, binding);
     assert_eq!(m_cold.len(), 1);
     let cold_wait = m_cold.records[0].load_s;
     let gbps_cold = binding.measured_decode_gbps();
@@ -135,7 +152,7 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
     // unchanged, and the charge is the decode-free swap-in: the *raw*
     // bytes stream over PCIe with no decompression stage, never more
     // than the cold charge.
-    let (m_warm, mut binding) = dz2.simulate_with_store(&trace_sent, cost, config, binding);
+    let (m_warm, mut binding) = serve(&trace_sent, cost, config, binding);
     let warm_wait = m_warm.records[0].load_s;
     let gbps_warm = binding.measured_decode_gbps();
     assert_eq!(
@@ -164,7 +181,7 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
     // the measurement taken after its own decode, and at equal throughput
     // fewer bytes always cost less.
     let trace_nli = one_request_trace(1, 2);
-    let (m_nli, binding) = dz2.simulate_with_store(&trace_nli, cost, config, binding);
+    let (m_nli, binding) = serve(&trace_nli, cost, config, binding);
     let nli_cold_wait = m_nli.records[0].load_s;
     let gbps_nli = binding.measured_decode_gbps();
     let want_nli = cost.delta_cold_load_time_measured(size_nli as f64, gbps_nli);

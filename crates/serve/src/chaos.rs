@@ -1,9 +1,12 @@
 //! Chaos & elasticity: fault injection, autoscaling, and rolling
-//! rollouts for the cluster simulator.
+//! rollouts for the cluster and fleet simulators.
 //!
 //! A fleet that only ever sees healthy replicas is a fleet nobody has
 //! operated. This module scripts the unhappy paths against
-//! [`ClusterSim`](crate::cluster::ClusterSim):
+//! [`ClusterSim`](crate::cluster::ClusterSim) and (faults and autoscaling
+//! only) [`FleetSim`](crate::fleet::FleetSim). It is the one place that
+//! says what a fault does and when and where a simulator scales; each
+//! simulator applies the outcome to its own replica state:
 //!
 //! * [`FaultPlan`] — a deterministic, seeded schedule of
 //!   [`FaultEvent`]s: replica crashes (warm sets and in-flight requests
@@ -167,6 +170,49 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// The plan's brownout windows by replica, in fire order; windows
+    /// aimed outside `0..n_replicas` are dropped.
+    pub(crate) fn brownouts_by_replica(&self, n_replicas: usize) -> Vec<Vec<Brownout>> {
+        let mut out = vec![Vec::new(); n_replicas];
+        for ev in &self.events {
+            if let FaultKind::Degrade { replica, brownout } = ev.kind {
+                if replica < n_replicas {
+                    out[replica].push(brownout);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A chaos action queued on a simulator's event clock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ChaosAction {
+    /// A fault from the plan fires (a `Degrade` only marks its window's
+    /// start: simulators read the window from
+    /// [`FaultPlan::brownouts_by_replica`]).
+    Fault(FaultKind),
+    /// Bring a crashed replica back up, cold.
+    Restart { replica: usize },
+    /// Autoscaler control-loop sample.
+    Tick,
+}
+
+/// Effective (disk, PCIe) rate factors at `now` under a brownout
+/// schedule; overlapping windows compound via `min`. Mirrors
+/// [`TransferTimeline`](crate::swap::TransferTimeline)'s own clamping.
+/// Outside every window both factors are exactly `1.0`.
+pub(crate) fn brownout_rates(schedule: &[Brownout], now: f64) -> (f64, f64) {
+    let mut disk = 1.0f64;
+    let mut pcie = 1.0f64;
+    for b in schedule {
+        if now >= b.start_s && now < b.end_s {
+            disk = disk.min(b.disk_rate.clamp(1e-3, 1.0));
+            pcie = pcie.min(b.pcie_rate.clamp(1e-3, 1.0));
+        }
+    }
+    (disk, pcie)
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +278,64 @@ impl Autoscaler {
             0
         }
     }
+
+    /// When the control-loop sample after one at `t` fires; the first
+    /// fires at `next_tick(0.0)`.
+    pub(crate) fn next_tick(&self, t: f64) -> f64 {
+        t + self.interval_s.max(1e-3)
+    }
+
+    /// The tick rule both simulators share, over each replica's `(alive,
+    /// pending_restart, busy_until)` in id order. Out of cooldown since
+    /// `last_scale_at` (moved to `t` when the tick acts),
+    /// [`decide`](Self::decide) on the mean live backlog picks a direction:
+    /// up activates the lowest-id spare not awaiting a restart, down
+    /// drains the emptiest live replica (smallest `busy_until`, then id).
+    pub(crate) fn tick(
+        &self,
+        t: f64,
+        last_scale_at: &mut f64,
+        replicas: impl Iterator<Item = (bool, bool, f64)> + Clone,
+    ) -> Option<Scale> {
+        let live = replicas.clone().filter(|&(alive, _, _)| alive);
+        let n_live = live.clone().count();
+        // An empty live set is infinite pressure: bring anything
+        // available back immediately.
+        let mean_backlog = if n_live == 0 {
+            f64::INFINITY
+        } else {
+            live.map(|(_, _, busy_until)| (busy_until - t).max(0.0))
+                .sum::<f64>()
+                / n_live as f64
+        };
+        if t - *last_scale_at < self.cooldown_s {
+            return None;
+        }
+        let mut ids = replicas.enumerate();
+        let action = match self.decide(n_live, mean_backlog) {
+            1 => ids
+                .find(|&(_, (alive, pending_restart, _))| !alive && !pending_restart)
+                .map(|(r, _)| Scale::Up(r)),
+            -1 => ids
+                .filter(|&(_, (alive, _, _))| alive)
+                .min_by(|(a, (_, _, busy_a)), (b, (_, _, busy_b))| {
+                    busy_a.total_cmp(busy_b).then(a.cmp(b))
+                })
+                .map(|(r, _)| Scale::Down(r)),
+            _ => None,
+        }?;
+        *last_scale_at = t;
+        Some(action)
+    }
+}
+
+/// What one autoscaler tick decided.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scale {
+    /// Activate this spare.
+    Up(usize),
+    /// Drain this live replica.
+    Down(usize),
 }
 
 // ---------------------------------------------------------------------------

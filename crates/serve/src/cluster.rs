@@ -38,7 +38,7 @@
 //! [`run_partitioned`] is now a thin compatibility shim that runs one
 //! single-replica [`ClusterSim`] per base group.
 
-use crate::chaos::{ChaosConfig, ChaosStats, FaultKind};
+use crate::chaos::{brownout_rates, ChaosAction, ChaosConfig, ChaosStats, FaultKind, Scale};
 use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig};
 use crate::metrics::{Metrics, RequestRecord, SwapStats};
@@ -1420,23 +1420,6 @@ impl ClusterSim {
     }
 }
 
-/// Internal chaos action queued on the front end's absolute-time line.
-#[derive(Debug, Clone, Copy)]
-enum ChaosAction {
-    /// Kill a replica; optionally schedule its cold restart.
-    Crash {
-        replica: usize,
-        restart_after_s: Option<f64>,
-    },
-    /// Bring a crashed replica back up, cold.
-    Restart { replica: usize },
-    /// A brownout window starts (the window itself lives in the
-    /// per-replica schedule handed to the replay engines).
-    Degrade { replica: usize },
-    /// Autoscaler control-loop sample.
-    Tick,
-}
-
 /// Work a front-end handler schedules, handed back to the run loop in
 /// push order so each loop numbers and tie-breaks it exactly as before.
 enum Scheduled {
@@ -1506,32 +1489,19 @@ impl FrontEnd {
             Some(cfg) => Tracer::enabled(cfg),
             None => Tracer::disabled(),
         };
-        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
+        let replica_brownouts = chaos
+            .as_ref()
+            .map_or_else(|| vec![Vec::new(); n], |c| c.plan.brownouts_by_replica(n));
         if let Some(c) = &chaos {
             for ev in c.plan.events() {
-                let action = match ev.kind {
-                    FaultKind::Crash {
-                        replica,
-                        restart_after_s,
-                    } => ChaosAction::Crash {
-                        replica,
-                        restart_after_s,
-                    },
-                    FaultKind::Degrade { replica, brownout } => {
-                        if replica < n {
-                            replica_brownouts[replica].push(brownout);
-                        }
-                        ChaosAction::Degrade { replica }
-                    }
-                };
                 scheduled.push(Scheduled::Chaos {
                     at: ev.at.max(0.0),
-                    action,
+                    action: ChaosAction::Fault(ev.kind),
                 });
             }
             if let Some(scaler) = c.autoscaler {
                 scheduled.push(Scheduled::Chaos {
-                    at: scaler.interval_s.max(1e-3),
+                    at: scaler.next_tick(0.0),
                     action: ChaosAction::Tick,
                 });
             }
@@ -1579,13 +1549,15 @@ impl FrontEnd {
             .expect("chaos events imply a chaos config")
     }
 
-    fn live_count(&self) -> usize {
-        self.states.iter().filter(|s| s.alive).count()
-    }
-
-    fn gauge(&mut self, at: f64, live_replicas: usize) {
+    /// After a crash, restart or scale action at `t`: fold the new live
+    /// count into the chaos stats' extremes and the gauge lane.
+    fn live_changed(&mut self, t: f64) {
+        let live_replicas = self.states.iter().filter(|s| s.alive).count();
+        let stats = self.chaos_stats();
+        stats.min_live = stats.min_live.min(live_replicas);
+        stats.max_live = stats.max_live.max(live_replicas);
         self.tracer.gauge(|| GaugeSample {
-            at,
+            at: t,
             live_replicas,
             ..GaugeSample::default()
         });
@@ -1608,12 +1580,12 @@ impl FrontEnd {
     /// are still queued; the autoscaler keeps ticking while they are.
     fn fire(&mut self, t: f64, action: ChaosAction, work_left: bool) {
         match action {
-            ChaosAction::Crash {
+            ChaosAction::Fault(FaultKind::Crash {
                 replica,
                 restart_after_s,
-            } => self.crash(t, replica, restart_after_s),
+            }) => self.crash(t, replica, restart_after_s),
             ChaosAction::Restart { replica } => self.restart(t, replica),
-            ChaosAction::Degrade { replica } => {
+            ChaosAction::Fault(FaultKind::Degrade { replica, .. }) => {
                 if replica < self.states.len() {
                     self.chaos_stats().brownouts += 1;
                 }
@@ -1655,10 +1627,7 @@ impl FrontEnd {
                 action: ChaosAction::Restart { replica },
             });
         }
-        let live = self.live_count();
-        let stats = self.chaos_stats();
-        stats.min_live = stats.min_live.min(live);
-        self.gauge(t, live);
+        self.live_changed(t);
     }
 
     fn restart(&mut self, t: f64, replica: usize) {
@@ -1669,78 +1638,44 @@ impl FrontEnd {
         self.chaos_stats().restarts += 1;
         self.tracer
             .emit(|| TraceEvent::ReplicaUp { replica, at: t });
-        let live = self.live_count();
-        let stats = self.chaos_stats();
-        stats.max_live = stats.max_live.max(live);
-        self.gauge(t, live);
+        self.live_changed(t);
     }
 
-    /// Autoscaler control-loop sample: activate a cold spare or drain
-    /// the emptiest live replica, then schedule the next tick while
-    /// there is work left to serve.
+    /// Autoscaler control-loop sample: apply the shared rule's scale
+    /// action, then schedule the next tick while there is work left to
+    /// serve.
     fn tick(&mut self, t: f64, work_left: bool) {
         let scaler = self
             .chaos
             .as_ref()
             .and_then(|c| c.autoscaler)
             .expect("tick implies autoscaler");
-        let n = self.states.len();
-        let live_ids: Vec<usize> = (0..n).filter(|&r| self.states[r].alive).collect();
-        // An empty live set is infinite pressure: bring anything
-        // available back immediately.
-        let mean_backlog = if live_ids.is_empty() {
-            f64::INFINITY
-        } else {
-            live_ids
-                .iter()
-                .map(|&r| (self.states[r].busy_until - t).max(0.0))
-                .sum::<f64>()
-                / live_ids.len() as f64
-        };
-        if t - self.last_scale_at >= scaler.cooldown_s {
-            match scaler.decide(live_ids.len(), mean_backlog) {
-                1 => {
-                    let spare =
-                        (0..n).find(|&r| !self.states[r].alive && !self.states[r].pending_restart);
-                    if let Some(r) = spare {
-                        self.states[r].revive(t);
-                        self.last_scale_at = t;
-                        let live = live_ids.len() + 1;
-                        let stats = self.chaos_stats();
-                        stats.scale_ups += 1;
-                        stats.max_live = stats.max_live.max(live);
-                        self.tracer
-                            .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
-                        self.gauge(t, live);
-                    }
-                }
-                -1 => {
-                    // Drain the emptiest live replica: it stops receiving
-                    // traffic but keeps (and finishes) its in-flight work.
-                    let victim = live_ids.iter().copied().min_by(|&a, &b| {
-                        self.states[a]
-                            .busy_until
-                            .total_cmp(&self.states[b].busy_until)
-                            .then(a.cmp(&b))
-                    });
-                    if let Some(r) = victim {
-                        self.states[r].alive = false;
-                        self.last_scale_at = t;
-                        let live = live_ids.len() - 1;
-                        let stats = self.chaos_stats();
-                        stats.scale_downs += 1;
-                        stats.min_live = stats.min_live.min(live);
-                        self.tracer
-                            .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
-                        self.gauge(t, live);
-                    }
-                }
-                _ => {}
+        let replicas = self
+            .states
+            .iter()
+            .map(|s| (s.alive, s.pending_restart, s.busy_until));
+        match scaler.tick(t, &mut self.last_scale_at, replicas) {
+            Some(Scale::Up(r)) => {
+                self.states[r].revive(t);
+                self.chaos_stats().scale_ups += 1;
+                self.tracer
+                    .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
+                self.live_changed(t);
             }
+            Some(Scale::Down(r)) => {
+                // A drained replica stops receiving traffic but keeps
+                // (and finishes) its in-flight work.
+                self.states[r].alive = false;
+                self.chaos_stats().scale_downs += 1;
+                self.tracer
+                    .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
+                self.live_changed(t);
+            }
+            None => {}
         }
         if work_left || t < self.horizon {
             self.scheduled.push(Scheduled::Chaos {
-                at: t + scaler.interval_s.max(1e-3),
+                at: scaler.next_tick(t),
                 action: ChaosAction::Tick,
             });
         }
@@ -2016,21 +1951,6 @@ impl FrontEnd {
             .assigned
             .push((admitted, p.req.id, p.delay, est_finish));
     }
-}
-
-/// Effective (disk, PCIe) rate factors at `now` under a brownout
-/// schedule; overlapping windows compound via `min`. Mirrors
-/// [`TransferTimeline`](crate::swap::TransferTimeline)'s own clamping.
-fn brownout_rates(schedule: &[Brownout], now: f64) -> (f64, f64) {
-    let mut disk = 1.0f64;
-    let mut pcie = 1.0f64;
-    for b in schedule {
-        if now >= b.start_s && now < b.end_s {
-            disk = disk.min(b.disk_rate.clamp(1e-3, 1.0));
-            pcie = pcie.min(b.pcie_rate.clamp(1e-3, 1.0));
-        }
-    }
-    (disk, pcie)
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@
 //!   and consistent hashing route without touching all `R` replicas;
 //!   [`FleetRouter::GlobalLeastCost`] keeps the O(R) global scan as the
 //!   baseline that stops scaling.
+//! * **Faults and elasticity** from [`chaos`](crate::chaos), as in
+//!   [`ClusterSim`](crate::cluster::ClusterSim): a [`FaultPlan`] and the
+//!   shared [`Autoscaler`] tick rule. A crash loses the replica's warm
+//!   set but not its disk, and requests it already accepted still
+//!   complete (`ClusterSim` re-queues them); a `Degrade` window divides
+//!   its delta fetch times by `disk_rate`; `pcie_rate` has no fleet stage.
 //! * **Determinism**: same seed → identical event sequence. The optional
 //!   event log ([`FleetReport::event_log`]) exists so tests can replay a
 //!   run and compare logs bit-for-bit.
@@ -29,6 +35,7 @@
 //! lands before departures before arrivals before ticks), then by
 //! insertion sequence — see [`EventQueue`] for the `(at, class, seq)` key.
 
+use crate::chaos::{brownout_rates, Autoscaler, ChaosAction, FaultKind, FaultPlan, Scale};
 use crate::cluster::PlacementPlan;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_tensor::Rng;
@@ -195,35 +202,6 @@ fn splitmix64(mut x: u64) -> u64 {
 // Configuration.
 // ---------------------------------------------------------------------------
 
-/// One injected fault: `replica` dies at `at` (losing its warm set) and
-/// restarts `down_s` later with a cold cache but an intact disk.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetFault {
-    /// Simulation time of the failure (s).
-    pub at: f64,
-    /// Replica to kill.
-    pub replica: usize,
-    /// Seconds until the replica rejoins.
-    pub down_s: f64,
-}
-
-/// Reactive autoscaling on the fleet's event clock: every `interval_s`
-/// a tick samples mean live backlog and activates a drained replica
-/// (above `hi_backlog_s`) or drains the highest-id live one (below
-/// `lo_backlog_s`, never under `min_live`). A replica a fault killed is
-/// not a spare: it rejoins only at its own restart.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetAutoscale {
-    /// Seconds between scale ticks.
-    pub interval_s: f64,
-    /// Mean backlog (s) above which a dormant replica is activated.
-    pub hi_backlog_s: f64,
-    /// Mean backlog (s) below which a live replica is drained.
-    pub lo_backlog_s: f64,
-    /// Floor on live replicas.
-    pub min_live: usize,
-}
-
 /// Configuration for a [`FleetSim`] run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -241,10 +219,13 @@ pub struct FleetConfig {
     pub startup_s: f64,
     /// Seed for routing randomness (p2c sampling).
     pub seed: u64,
-    /// Injected faults, any order; applied on the event clock.
-    pub faults: Vec<FleetFault>,
+    /// Injected faults on the event clock: a crash drops the warm set,
+    /// keeps the disk and lets accepted requests finish; a `Degrade`
+    /// window divides fetch times by its `disk_rate` (`pcie_rate` has no
+    /// fleet stage). Faults outside `0..n_replicas` are ignored.
+    pub faults: FaultPlan,
     /// Optional autoscaler driven by scale-tick events.
-    pub autoscale: Option<FleetAutoscale>,
+    pub autoscale: Option<Autoscaler>,
     /// On an object-store pull, also replicate the delta to one other
     /// plan home's disk (prefetch-land event, off the critical path).
     pub prefetch_homes: bool,
@@ -266,7 +247,7 @@ impl FleetConfig {
             per_token_s: 0.0003,
             startup_s: 0.02,
             seed: 0x0F1E_E7F1,
-            faults: Vec::new(),
+            faults: FaultPlan::none(),
             autoscale: None,
             prefetch_homes: true,
             record_events: false,
@@ -372,11 +353,9 @@ enum FleetEvent {
     SwapLand { replica: usize, model: usize },
     /// An edge-replication prefetch landed on a replica's disk.
     PrefetchLand { replica: usize, model: usize },
-    /// A fault from the plan kills the replica, which rejoins `down_s`
-    /// later (`Some`), or a killed replica rejoins (`None`).
-    Fault { replica: usize, down_s: Option<f64> },
-    /// Autoscale tick.
-    Tick,
+    /// A fault from the plan, a restart it scheduled, or an autoscaler
+    /// tick.
+    Chaos(ChaosAction),
 }
 
 #[derive(Debug, Clone, Default)]
@@ -392,6 +371,17 @@ struct FleetReplica {
     /// the eviction scan below is iteration-order-deterministic.
     warm: BTreeMap<usize, u64>,
     served: u64,
+}
+
+impl FleetReplica {
+    /// Bring the replica (back) up at `t` with an empty queue; its warm
+    /// set was cleared when it went down.
+    fn revive(&mut self, t: f64) {
+        self.alive = true;
+        self.pending_restart = false;
+        self.busy_until = t;
+        self.queue_depth = 0;
+    }
 }
 
 /// The fleet-scale event-driven simulator. See the module docs.
@@ -457,21 +447,19 @@ impl FleetSim {
             });
             work_events += 1;
         }
-        for f in &cfg.faults {
-            if f.replica < n {
-                events.push_class(
-                    f.at.max(0.0),
-                    CLASS_FAULT,
-                    FleetEvent::Fault {
-                        replica: f.replica,
-                        down_s: Some(f.down_s),
-                    },
-                );
+        let brownouts = cfg.faults.brownouts_by_replica(n);
+        for ev in cfg.faults.events() {
+            let (FaultKind::Crash { replica, .. } | FaultKind::Degrade { replica, .. }) = ev.kind;
+            if replica < n {
+                let fault = FleetEvent::Chaos(ChaosAction::Fault(ev.kind));
+                events.push_class(ev.at.max(0.0), CLASS_FAULT, fault);
             }
         }
-        if let Some(scale) = cfg.autoscale {
-            events.push_class(scale.interval_s.max(1e-3), CLASS_TICK, FleetEvent::Tick);
+        if let Some(scaler) = &cfg.autoscale {
+            let tick = FleetEvent::Chaos(ChaosAction::Tick);
+            events.push_class(scaler.next_tick(0.0), CLASS_TICK, tick);
         }
+        let mut last_scale_at = f64::NEG_INFINITY;
 
         let mut rng = Rng::seeded(cfg.seed ^ 0xF1EE_7517);
         let mut rr_cursor = 0usize;
@@ -514,44 +502,47 @@ impl FleetSim {
                     | FleetEvent::PrefetchLand { replica, model } => {
                         ((*replica as u64) << 32) | *model as u64
                     }
-                    FleetEvent::Fault { replica, .. } => *replica as u64,
-                    FleetEvent::Tick => 0,
+                    FleetEvent::Chaos(
+                        ChaosAction::Fault(
+                            FaultKind::Crash { replica, .. } | FaultKind::Degrade { replica, .. },
+                        )
+                        | ChaosAction::Restart { replica },
+                    ) => *replica as u64,
+                    FleetEvent::Chaos(ChaosAction::Tick) => 0,
                 };
                 log.push(FleetLogEntry { at: t, class, key });
             }
             match event {
-                FleetEvent::Fault { replica, down_s } => {
-                    match down_s {
-                        None => {
-                            replicas[replica].alive = true;
-                            replicas[replica].pending_restart = false;
-                            replicas[replica].busy_until = t;
-                            replicas[replica].queue_depth = 0;
-                            live_count += 1;
-                        }
-                        // A kill: the warm cache dies with the process;
-                        // the disk (and its holder entries) survives the
-                        // restart. Killing a replica that is already
-                        // down is a no-op.
-                        Some(down) if replicas[replica].alive => {
-                            replicas[replica].alive = false;
+                // A crash: the warm cache dies with the process; the
+                // disk (and its holder entries) survives, and requests
+                // already accepted still complete. Killing a replica
+                // that is already down is a no-op.
+                FleetEvent::Chaos(ChaosAction::Fault(FaultKind::Crash {
+                    replica,
+                    restart_after_s,
+                })) => {
+                    if replicas[replica].alive {
+                        replicas[replica].alive = false;
+                        replicas[replica].warm.clear();
+                        live_count -= 1;
+                        if let Some(down) = restart_after_s {
                             replicas[replica].pending_restart = true;
-                            replicas[replica].warm.clear();
-                            live_count -= 1;
-                            events.push_class(
-                                t + down.max(1e-3),
-                                CLASS_FAULT,
-                                FleetEvent::Fault {
-                                    replica,
-                                    down_s: None,
-                                },
-                            );
+                            let restart = FleetEvent::Chaos(ChaosAction::Restart { replica });
+                            events.push_class(t + down.max(1e-3), CLASS_FAULT, restart);
                         }
-                        Some(_) => {}
                     }
-                    peak_live = peak_live.max(live_count);
                     ring_dirty = true;
                 }
+                FleetEvent::Chaos(ChaosAction::Restart { replica }) => {
+                    if !replicas[replica].alive {
+                        replicas[replica].revive(t);
+                        live_count += 1;
+                        peak_live = peak_live.max(live_count);
+                    }
+                    ring_dirty = true;
+                }
+                // The window itself is read from `brownouts` at fetch time.
+                FleetEvent::Chaos(ChaosAction::Fault(FaultKind::Degrade { .. })) => {}
                 FleetEvent::SwapLand { replica, model } => {
                     inflight.remove(&(replica, model));
                     tracer.emit(|| TraceEvent::SwapLand {
@@ -577,65 +568,44 @@ impl FleetSim {
                     r.queue_depth = r.queue_depth.saturating_sub(1);
                     makespan = makespan.max(t);
                 }
-                FleetEvent::Tick => {
-                    let scale = cfg.autoscale.expect("tick without autoscaler");
-                    let (mut backlog, mut live) = (0.0, 0usize);
-                    for r in replicas.iter().filter(|r| r.alive) {
-                        backlog += (r.busy_until - t).max(0.0);
-                        live += 1;
-                    }
-                    let mean = if live > 0 {
-                        backlog / live as f64
-                    } else {
-                        f64::INFINITY
+                FleetEvent::Chaos(ChaosAction::Tick) => {
+                    // Ticks are scheduled only with an autoscaler.
+                    let Some(scaler) = &cfg.autoscale else {
+                        continue;
                     };
-                    if mean > scale.hi_backlog_s {
-                        // Activate the lowest-id dormant replica; one
-                        // a fault killed comes back only at its restart.
-                        if let Some(i) =
-                            replicas.iter().position(|r| !r.alive && !r.pending_restart)
-                        {
-                            replicas[i].alive = true;
-                            replicas[i].busy_until = t;
-                            replicas[i].queue_depth = 0;
+                    let states = replicas
+                        .iter()
+                        .map(|r| (r.alive, r.pending_restart, r.busy_until));
+                    match scaler.tick(t, &mut last_scale_at, states) {
+                        Some(Scale::Up(i)) => {
+                            replicas[i].revive(t);
                             live_count += 1;
+                            peak_live = peak_live.max(live_count);
                             ring_dirty = true;
                         }
-                    } else if mean < scale.lo_backlog_s && live > scale.min_live {
-                        // Drain the highest-id live replica.
-                        if let Some(i) = replicas.iter().rposition(|r| r.alive) {
+                        Some(Scale::Down(i)) => {
                             replicas[i].alive = false;
                             replicas[i].warm.clear();
                             live_count -= 1;
                             ring_dirty = true;
                         }
+                        None => {}
                     }
-                    peak_live = peak_live.max(live_count);
                     tracer.gauge(|| GaugeSample {
                         at: t,
                         queue_depth: replicas.iter().map(|r| r.queue_depth).sum(),
-                        batch: 0,
-                        blocked: 0,
-                        gpu_resident: 0,
-                        warmth_disk: 0,
                         warmth_host: replicas.iter().map(|r| r.warm.len()).sum(),
-                        warmth_host_decoded: 0,
-                        gpu_bytes: 0.0,
-                        host_bytes: 0.0,
                         inflight_demand: inflight.len(),
-                        inflight_prefetch: 0,
-                        live_replicas: live,
+                        live_replicas: live_count,
+                        ..GaugeSample::default()
                     });
                     // Keep ticking while serving work remains; a heap
                     // holding only faults/ticks must not keep the run
                     // alive (a far-future restart would otherwise tick
                     // the clock forever).
                     if work_events > 0 {
-                        events.push_class(
-                            t + scale.interval_s.max(1e-3),
-                            CLASS_TICK,
-                            FleetEvent::Tick,
-                        );
+                        let tick = FleetEvent::Chaos(ChaosAction::Tick);
+                        events.push_class(scaler.next_tick(t), CLASS_TICK, tick);
                     }
                 }
                 FleetEvent::Arrival(idx) => {
@@ -680,7 +650,10 @@ impl FleetSim {
                         Self::warm_insert(r, req.model, stamp, cfg.warm_capacity);
                     } else {
                         let tier = Self::nearest_tier(&topo, target, &disk_holders[req.model]);
-                        fetch_s = topo.fetch_time_s(tier, cfg.delta_bytes);
+                        // The pull lands on this replica's disk, so its
+                        // brownout window (if open) slows it.
+                        let (disk_rate, _) = brownout_rates(&brownouts[target], t);
+                        fetch_s = topo.fetch_time_s(tier, cfg.delta_bytes) / disk_rate;
                         match tier {
                             FetchTier::LocalDisk => fetches.local_disk += 1,
                             FetchTier::PeerRack => fetches.peer_rack += 1,
@@ -923,6 +896,7 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{Brownout, FaultEvent};
     use dz_workload::{PopularityDist, TraceSpec};
 
     fn small_trace(seed: u64) -> Trace {
@@ -940,6 +914,28 @@ mod tests {
             &PopularityDist::Zipf { alpha: 1.2 }.weights(trace.spec.n_models),
             n,
         )
+    }
+
+    fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
+        FaultEvent {
+            at,
+            kind: FaultKind::Crash {
+                replica,
+                restart_after_s,
+            },
+        }
+    }
+
+    /// An eager autoscaler over `n` replicas: 1 s ticks, no cooldown.
+    fn eager_autoscaler(min: usize, n: usize) -> Autoscaler {
+        Autoscaler {
+            min_replicas: min,
+            max_replicas: n,
+            up_backlog_s: 0.5,
+            down_backlog_s: 0.01,
+            interval_s: 1.0,
+            cooldown_s: 0.0,
+        }
     }
 
     #[test]
@@ -1019,11 +1015,7 @@ mod tests {
     fn faults_lose_warmth_but_not_disk() {
         let tr = small_trace(13);
         let mut cfg = FleetConfig::new(4);
-        cfg.faults = vec![FleetFault {
-            at: 20.0,
-            replica: 0,
-            down_s: 5.0,
-        }];
+        cfg.faults = FaultPlan::scripted(vec![crash(20.0, 0, Some(5.0))]);
         cfg.record_events = true;
         let plan = plan_for(&tr, 4);
         let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 3 }).run(&tr);
@@ -1041,18 +1033,8 @@ mod tests {
     fn each_fault_restarts_after_its_own_down_time() {
         let tr = small_trace(13);
         let mut cfg = FleetConfig::new(4);
-        cfg.faults = vec![
-            FleetFault {
-                at: 1.0,
-                replica: 0,
-                down_s: 5.0,
-            },
-            FleetFault {
-                at: 20.0,
-                replica: 0,
-                down_s: 30.0,
-            },
-        ];
+        cfg.faults =
+            FaultPlan::scripted(vec![crash(1.0, 0, Some(5.0)), crash(20.0, 0, Some(30.0))]);
         cfg.record_events = true;
         let plan = plan_for(&tr, 4);
         let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 3 }).run(&tr);
@@ -1080,12 +1062,7 @@ mod tests {
             r.arrival += 10.0;
         }
         let mut cfg = FleetConfig::new(8);
-        cfg.autoscale = Some(FleetAutoscale {
-            interval_s: 1.0,
-            hi_backlog_s: 0.5,
-            lo_backlog_s: 0.01,
-            min_live: 2,
-        });
+        cfg.autoscale = Some(eager_autoscaler(2, 8));
         cfg.trace = Some(TraceConfig::default());
         let plan = plan_for(&tr, 8);
         let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 5 }).run(&tr);
@@ -1111,22 +1088,11 @@ mod tests {
             popularity: PopularityDist::Zipf { alpha: 1.2 },
             seed: 17,
         });
-        let autoscale = Some(FleetAutoscale {
-            interval_s: 1.0,
-            hi_backlog_s: 0.5,
-            lo_backlog_s: 0.01,
-            min_live: 1,
-        });
-        let fault = |at, down_s| FleetFault {
-            at,
-            replica: 0,
-            down_s,
-        };
         // r0 is down 0.5..10.5 s; the overloaded r1 must not pull it back
         // early, or its restart counts it live a second time.
         let mut cfg = FleetConfig::new(2);
-        cfg.autoscale = autoscale;
-        cfg.faults = vec![fault(0.5, 10.0)];
+        cfg.autoscale = Some(eager_autoscaler(1, 2));
+        cfg.faults = FaultPlan::scripted(vec![crash(0.5, 0, Some(10.0))]);
         let rep = FleetSim::new(cfg, plan_for(&tr, 2), FleetRouter::RoundRobin).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
         assert!(
@@ -1137,12 +1103,124 @@ mod tests {
         // A lone replica killed twice: after the second kill nothing is
         // live, so arrivals are shed instead of routed.
         let mut cfg = FleetConfig::new(1);
-        cfg.autoscale = autoscale;
-        cfg.faults = vec![fault(0.5, 10.0), fault(20.5, 1e9)];
+        cfg.autoscale = Some(eager_autoscaler(1, 1));
+        cfg.faults =
+            FaultPlan::scripted(vec![crash(0.5, 0, Some(10.0)), crash(20.5, 0, Some(1e9))]);
         let rep = FleetSim::new(cfg, plan_for(&tr, 1), FleetRouter::RoundRobin).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
         assert!(rep.shed > 0 && rep.served > 0);
         assert_eq!(rep.peak_live, 1);
+    }
+
+    #[test]
+    fn tick_gauge_reports_the_live_count_after_its_action() {
+        let mut tr = small_trace(29);
+        for r in &mut tr.requests {
+            r.arrival += 10.0;
+        }
+        let mut cfg = FleetConfig::new(4);
+        cfg.autoscale = Some(eager_autoscaler(1, 4));
+        cfg.trace = Some(TraceConfig::default());
+        let rep = FleetSim::new(cfg, plan_for(&tr, 4), FleetRouter::RoundRobin).run(&tr);
+        // The idle first tick drains one of the four replicas.
+        let first = rep.tracks[0].log.gauges().next().expect("a tick gauge");
+        assert_eq!((first.at, first.live_replicas), (1.0, 3));
+    }
+
+    #[test]
+    fn crash_without_restart_sheds_every_later_arrival() {
+        let tr = small_trace(31);
+        let mut cfg = FleetConfig::new(1);
+        cfg.faults = FaultPlan::scripted(vec![crash(20.0, 0, None)]);
+        let rep = FleetSim::new(cfg, plan_for(&tr, 1), FleetRouter::RoundRobin).run(&tr);
+        let later = tr.requests.iter().filter(|r| r.arrival >= 20.0).count();
+        assert!(later > 0);
+        assert_eq!(rep.shed, later);
+        assert_eq!(rep.served + rep.shed, tr.len());
+    }
+
+    /// One replica, no disk copies and a two-delta warm set: most
+    /// requests pay an object-store pull.
+    fn fetch_bound_run(tr: &Trace, faults: FaultPlan) -> FleetReport {
+        let mut cfg = FleetConfig::new(1);
+        cfg.warm_capacity = 2;
+        cfg.prefetch_homes = false;
+        cfg.faults = faults;
+        cfg.record_events = true;
+        FleetSim::new(
+            cfg,
+            PlacementPlan::from_weights(&[], 1),
+            FleetRouter::RoundRobin,
+        )
+        .run(tr)
+    }
+
+    fn degrade(start_s: f64, end_s: f64) -> FaultPlan {
+        FaultPlan::scripted(vec![FaultEvent {
+            at: start_s,
+            kind: FaultKind::Degrade {
+                replica: 0,
+                brownout: Brownout {
+                    start_s,
+                    end_s,
+                    disk_rate: 0.25,
+                    pcie_rate: 0.5,
+                },
+            },
+        }])
+    }
+
+    #[test]
+    fn brownout_slows_fetches_while_its_window_is_open() {
+        let tr = small_trace(37);
+        let base = fetch_bound_run(&tr, FaultPlan::none());
+        let slow = fetch_bound_run(&tr, degrade(10.0, 40.0));
+        assert!(base.fetches.total() > 0);
+        assert_eq!(slow.served, tr.len());
+        assert!(
+            slow.mean_e2e_s > base.mean_e2e_s,
+            "brownout mean e2e {} <= healthy {}",
+            slow.mean_e2e_s,
+            base.mean_e2e_s
+        );
+    }
+
+    #[test]
+    fn brownout_after_the_last_arrival_changes_nothing() {
+        let tr = small_trace(37);
+        let last = tr.requests.last().expect("non-empty trace").arrival;
+        let base = fetch_bound_run(&tr, FaultPlan::none());
+        let late = fetch_bound_run(&tr, degrade(last + 1.0, last + 100.0));
+        let outcome = |r: &FleetReport| {
+            let f = r.fetches;
+            (
+                [r.served, r.shed, r.peak_live],
+                [
+                    r.warm_hits,
+                    f.local_disk,
+                    f.peer_rack,
+                    f.peer_region,
+                    f.cross_region,
+                ],
+                f.object_store,
+                [
+                    r.mean_e2e_s,
+                    r.p50_e2e_s,
+                    r.p99_e2e_s,
+                    r.max_e2e_s,
+                    r.makespan_s,
+                ]
+                .map(f64::to_bits),
+            )
+        };
+        assert_eq!(outcome(&late), outcome(&base));
+        // The log differs only by the window's own fault entry.
+        let late_log = late.event_log.expect("recording enabled");
+        let (faults, rest): (Vec<_>, Vec<_>) =
+            late_log.into_iter().partition(|e| e.class == CLASS_FAULT);
+        assert_eq!(faults.len(), 1);
+        assert_eq!(late.events, base.events + 1);
+        assert_eq!(Some(rest), base.event_log);
     }
 
     #[test]

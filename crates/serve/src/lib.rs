@@ -59,8 +59,8 @@ pub use cluster::{
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
 pub use fleet::{
-    FetchCounts, FetchTier, FleetAutoscale, FleetConfig, FleetFault, FleetLogEntry, FleetReport,
-    FleetRouter, FleetSim, FleetTopology,
+    FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetRouter, FleetSim,
+    FleetTopology,
 };
 pub use lora::{LoraEngine, LoraServingConfig};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};

@@ -10,6 +10,10 @@
 //! and its lockstep oracle. `engine_attachments_run_is_pinned` was
 //! harvested from the engine's former `with_*` setter chain, before
 //! `EngineBuilder` became the only way to attach anything to an engine.
+//! `fleet_chaos_run_is_pinned` was harvested before `FleetSim` moved onto
+//! `chaos::FaultPlan` and the shared autoscaler tick, from a tree whose
+//! only change was the fleet's drain victim (highest id → emptiest, the
+//! cluster's rule); the unchanged tree gives a different value.
 //!
 //! If a PR changes one of these values *on purpose* (a scheduling or
 //! cost-model change), re-pin deliberately: run with
@@ -26,57 +30,16 @@ use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
     Autoscaler, Brownout, ChaosConfig, CostModel, DeltaZipConfig, Engine, EngineBuilder,
-    FaultEvent, FaultKind, FaultPlan, LengthEstimator, Metrics, PreemptionPolicy, QueueLookahead,
-    Rollout, SloPolicy, TraceConfig, VariantCatalog,
+    FaultEvent, FaultKind, FaultPlan, LengthEstimator, PreemptionPolicy, QueueLookahead, Rollout,
+    SloPolicy, TraceConfig, VariantCatalog,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
+#[path = "support/pin.rs"]
+mod pin;
+use pin::{check, Pin};
+
 const N_MODELS: usize = 16;
-
-/// FNV-1a over a stream of u64 words — stable, dependency-free way to
-/// pin a whole run's worth of floats in one constant.
-struct Pin(u64);
-
-impl Pin {
-    fn new() -> Self {
-        Pin(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        let mut h = self.0;
-        for i in 0..8 {
-            h ^= (w >> (i * 8)) & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-    fn metrics(&mut self, m: &Metrics) {
-        self.word(m.len() as u64);
-        self.f64(m.makespan_s);
-        for r in &m.records {
-            self.word(r.id as u64);
-            self.word(r.model as u64);
-            self.f64(r.e2e_s);
-            self.f64(r.ttft_s);
-            self.f64(r.queue_s);
-            self.f64(r.load_s);
-        }
-    }
-}
-
-fn check(tag: &str, got: u64, pinned: u64) {
-    if std::env::var("DZ_PRINT_PINS").is_ok() {
-        println!("const PIN_{}: u64 = 0x{got:016x};", tag.to_uppercase());
-        return;
-    }
-    assert_eq!(
-        got, pinned,
-        "{tag}: run checksum 0x{got:016x} != pinned 0x{pinned:016x} — \
-         a container/ordering change altered simulation results"
-    );
-}
 
 fn cost() -> CostModel {
     CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b())
@@ -97,6 +60,7 @@ const PIN_TOPPINGS: u64 = 0x01e21a5090efc51a;
 const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
 const PIN_CLUSTER_CHAOS: u64 = 0x4a3ae34f6c2b238e;
 const PIN_ENGINE_ATTACHMENTS: u64 = 0x8f93cdc7a6db77f4;
+const PIN_FLEET_CHAOS: u64 = 0x70fe7e75ba04ee20;
 
 /// Fleet-scale event core: p2c routing over 24 replicas exercises the
 /// per-replica warm-set LRU (`FleetReplica::warm`) on every request.
@@ -117,6 +81,78 @@ fn fleet_run_is_pinned() {
     pin.f64(report.p99_e2e_s);
     pin.f64(report.makespan_s);
     check("fleet", pin.0, PIN_FLEET);
+}
+
+/// Fleet under chaos: two crash/restart faults, a kill aimed at a
+/// replica that is already down (a no-op), and an eager autoscaler that
+/// drains the idle fleet to its floor, then re-activates replicas for
+/// the burst. Folds the whole event log, so any change to the shared
+/// autoscaler tick or the fault handlers shows.
+#[test]
+fn fleet_chaos_run_is_pinned() {
+    let n = 8;
+    let mut tr = trace(23, 60.0, 40.0);
+    // Ten idle seconds first: the autoscaler drains toward its floor.
+    for r in &mut tr.requests {
+        r.arrival += 10.0;
+    }
+    let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
+    let crash = |at, replica, down_s| FaultEvent {
+        at,
+        kind: FaultKind::Crash {
+            replica,
+            restart_after_s: Some(down_s),
+        },
+    };
+    let mut cfg = FleetConfig::new(n);
+    cfg.faults = FaultPlan::scripted(vec![
+        crash(12.0, 7, 6.0),
+        crash(14.0, 7, 3.0),
+        crash(30.0, 6, 5.0),
+    ]);
+    cfg.autoscale = Some(Autoscaler {
+        up_backlog_s: 0.5,
+        down_backlog_s: 0.01,
+        interval_s: 1.0,
+        cooldown_s: 0.0,
+        ..Autoscaler::new(4, n)
+    });
+    cfg.record_events = true;
+    cfg.trace = Some(TraceConfig::default());
+    let plan = PlacementPlan::from_weights(&weights, n);
+    let report = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 29 }).run(&tr);
+    let live: Vec<usize> = report.tracks[0]
+        .log
+        .gauges()
+        .map(|g| g.live_replicas)
+        .collect();
+    let trough = live.iter().position(|&l| l == 4).expect("idle drain");
+    assert!(live[trough..].iter().any(|&l| l > 4), "no re-activation");
+    let log = report.event_log.as_deref().expect("recording enabled");
+    let mut pin = Pin::new();
+    for w in [report.served, report.shed, report.peak_live, report.events] {
+        pin.word(w as u64);
+    }
+    let f = &report.fetches;
+    for w in [
+        report.warm_hits,
+        f.local_disk,
+        f.peer_rack,
+        f.peer_region,
+        f.cross_region,
+        f.object_store,
+    ] {
+        pin.word(w);
+    }
+    pin.f64(report.mean_e2e_s);
+    pin.f64(report.p99_e2e_s);
+    pin.f64(report.makespan_s);
+    for e in log {
+        pin.f64(e.at);
+        pin.word(e.class as u64);
+        pin.word(e.key);
+    }
+    check("fleet_chaos", pin.0, PIN_FLEET_CHAOS);
 }
 
 /// Toppings engine: interleaved base/LoRA/delta/stacked catalog with a
@@ -234,43 +270,7 @@ fn cluster_chaos_run_is_pinned() {
     assert!(stats.scale_ups > 0 && stats.rollout_remapped > 0);
     assert!(report.routing.prefetch_issued > 0 && report.routing.defer_events > 0);
     let mut pin = Pin::new();
-    pin.metrics(&report.merged);
-    for m in &report.per_replica {
-        pin.metrics(m);
-    }
-    for s in &report.shed {
-        pin.word(s.id as u64);
-        pin.word(s.model as u64);
-        pin.f64(s.arrival);
-    }
-    let r = &report.routing;
-    for w in r.per_replica_requests.iter().copied().chain([
-        r.warm_routed,
-        r.cold_routed,
-        r.placement_misses,
-        r.defer_events,
-        r.shed,
-        r.prefetch_hints,
-        r.prefetch_issued,
-        r.prefetch_hits,
-    ]) {
-        pin.word(w as u64);
-    }
-    for w in [
-        stats.crashes,
-        stats.restarts,
-        stats.brownouts,
-        stats.lost_in_flight,
-        stats.shed_no_capacity,
-        stats.scale_ups,
-        stats.scale_downs,
-        stats.rollout_remapped,
-        stats.dropped_hints,
-        stats.min_live,
-        stats.max_live,
-    ] {
-        pin.word(w as u64);
-    }
+    pin.cluster_report(&report);
     check("cluster_chaos", pin.0, PIN_CLUSTER_CHAOS);
 }
 

@@ -14,7 +14,9 @@
 //! per-class insertion order exactly like the old two-heap loop did. A
 //! bug inside a shared handler moves both runs alike and is invisible
 //! here; `determinism_pins.rs::cluster_chaos_run_is_pinned` guards the
-//! handlers instead.
+//! handlers instead, and the elastic and outage configs carry run-side
+//! pins of their own (`elastic_run_is_pinned`,
+//! `total_outage_run_is_pinned`).
 
 use dz_compress::codec::{CodecId, PackedLayer};
 use dz_compress::pack::CompressedMatrix;
@@ -36,7 +38,13 @@ use dz_tensor::{Matrix, Rng};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use std::collections::BTreeMap;
 
+#[path = "support/pin.rs"]
+mod pin;
+use pin::{check, Pin};
+
 const N_MODELS: usize = 16;
+const PIN_ELASTIC: u64 = 0x32b8d7bd373d333b;
+const PIN_OUTAGE: u64 = 0x6905861e0cb735dc;
 
 fn cost() -> CostModel {
     CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b())
@@ -312,24 +320,7 @@ fn elastic_rollout_brownout_matches_lockstep() {
     // (scale-ups and drain-downs), a rolling v1 -> v2 remap drawing on
     // the chaos RNG, and a brownout inflating one replica's load
     // estimates. Traced, so the gauge/scale/rollout lane is compared too.
-    let tr = trace(59, 2.0, 60.0);
-    let report = differential("elastic-3x", &tr, || {
-        ClusterSim::new(
-            vec![cost(); 3],
-            ClusterConfig {
-                n_replicas: 3,
-                prefetch: Some(ClusterPrefetch::default()),
-                ..ClusterConfig::default()
-            },
-            Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
-                PopularityDist::Zipf { alpha: 1.3 },
-                N_MODELS,
-                3,
-            ))),
-        )
-        .with_chaos(elastic_chaos_config())
-        .with_tracing(TraceConfig::default())
-    });
+    let report = differential("elastic-3x", &elastic_trace(), elastic_sim);
     let stats = report.chaos.expect("chaos configured");
     assert!(
         stats.scale_ups > 0 && stats.scale_downs > 0,
@@ -337,6 +328,40 @@ fn elastic_rollout_brownout_matches_lockstep() {
     );
     assert!(stats.rollout_remapped > 0, "rollout never remapped");
     assert_eq!(stats.brownouts, 1);
+}
+
+fn elastic_trace() -> Trace {
+    trace(59, 2.0, 60.0)
+}
+
+/// Three replicas (one live, two spares) under [`elastic_chaos_config`],
+/// placement-aware with routing-time prefetch, traced.
+fn elastic_sim() -> ClusterSim {
+    ClusterSim::new(
+        vec![cost(); 3],
+        ClusterConfig {
+            n_replicas: 3,
+            prefetch: Some(ClusterPrefetch::default()),
+            ..ClusterConfig::default()
+        },
+        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            PopularityDist::Zipf { alpha: 1.3 },
+            N_MODELS,
+            3,
+        ))),
+    )
+    .with_chaos(elastic_chaos_config())
+    .with_tracing(TraceConfig::default())
+}
+
+/// `run`'s own result on the elastic config, harvested before the
+/// autoscaler tick rule moved into `chaos.rs`: the lockstep reference
+/// shares that rule, so only this pin sees a change inside it.
+#[test]
+fn elastic_run_is_pinned() {
+    let mut pin = Pin::new();
+    pin.cluster_report(&elastic_sim().run(&elastic_trace()));
+    check("elastic", pin.0, PIN_ELASTIC);
 }
 
 /// Autoscaler from one live replica (two spares), a rollout of model 0
@@ -379,44 +404,7 @@ fn total_outage_parks_then_sheds_like_lockstep() {
     // Every replica crashes. Replica 1 restarts once, so requests that
     // arrive while the fleet is dark park until the restart; its second
     // crash has no restart, so later requests shed for lack of capacity.
-    let tr = trace(61, 0.5, 80.0);
-    let report = differential("outage-2x", &tr, || {
-        ClusterSim::new(
-            vec![cost(); 2],
-            ClusterConfig {
-                n_replicas: 2,
-                ..ClusterConfig::default()
-            },
-            Box::new(RoundRobinRouter::new()),
-        )
-        .with_chaos(ChaosConfig::faults(
-            FaultPlan::scripted(vec![
-                FaultEvent {
-                    at: 10.0,
-                    kind: FaultKind::Crash {
-                        replica: 0,
-                        restart_after_s: None,
-                    },
-                },
-                FaultEvent {
-                    at: 15.0,
-                    kind: FaultKind::Crash {
-                        replica: 1,
-                        restart_after_s: Some(8.0),
-                    },
-                },
-                FaultEvent {
-                    at: 60.0,
-                    kind: FaultKind::Crash {
-                        replica: 1,
-                        restart_after_s: None,
-                    },
-                },
-            ]),
-            0x0D0A,
-        ))
-        .with_tracing(TraceConfig::default())
-    });
+    let report = differential("outage-2x", &outage_trace(), outage_sim);
     let stats = report.chaos.expect("chaos configured");
     assert_eq!((stats.crashes, stats.restarts), (3, 1));
     assert_eq!(stats.min_live, 0, "the fleet never went dark");
@@ -432,6 +420,58 @@ fn total_outage_parks_then_sheds_like_lockstep() {
             .any(|r| r.arrival > 15.0 && r.arrival < 23.0),
         "no request parked through the outage"
     );
+}
+
+fn outage_trace() -> Trace {
+    trace(61, 0.5, 80.0)
+}
+
+/// Two round-robin replicas that both crash; replica 1 restarts once.
+/// Traced.
+fn outage_sim() -> ClusterSim {
+    ClusterSim::new(
+        vec![cost(); 2],
+        ClusterConfig {
+            n_replicas: 2,
+            ..ClusterConfig::default()
+        },
+        Box::new(RoundRobinRouter::new()),
+    )
+    .with_chaos(ChaosConfig::faults(
+        FaultPlan::scripted(vec![
+            FaultEvent {
+                at: 10.0,
+                kind: FaultKind::Crash {
+                    replica: 0,
+                    restart_after_s: None,
+                },
+            },
+            FaultEvent {
+                at: 15.0,
+                kind: FaultKind::Crash {
+                    replica: 1,
+                    restart_after_s: Some(8.0),
+                },
+            },
+            FaultEvent {
+                at: 60.0,
+                kind: FaultKind::Crash {
+                    replica: 1,
+                    restart_after_s: None,
+                },
+            },
+        ]),
+        0x0D0A,
+    ))
+    .with_tracing(TraceConfig::default())
+}
+
+/// `run`'s own result on the outage config (see [`elastic_run_is_pinned`]).
+#[test]
+fn total_outage_run_is_pinned() {
+    let mut pin = Pin::new();
+    pin.cluster_report(&outage_sim().run(&outage_trace()));
+    check("outage", pin.0, PIN_OUTAGE);
 }
 
 #[test]

@@ -5,7 +5,9 @@
 
 use dz_gpusim::EventQueue;
 use dz_serve::cluster::PlacementPlan;
-use dz_serve::{FleetAutoscale, FleetConfig, FleetFault, FleetRouter, FleetSim};
+use dz_serve::{
+    Autoscaler, Brownout, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRouter, FleetSim,
+};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
 
@@ -24,17 +26,33 @@ fn arb_router() -> impl Strategy<Value = FleetRouter> {
     ]
 }
 
-fn arb_faults(n_replicas: usize) -> impl Strategy<Value = Vec<FleetFault>> {
-    proptest::collection::vec(
-        (0.0f64..40.0, 0..n_replicas as u32, 1.0f64..30.0).prop_map(|(at, replica, down_s)| {
-            FleetFault {
-                at,
-                replica: replica as usize,
-                down_s,
-            }
-        }),
-        0..4,
-    )
+/// Up to four faults: crashes that restart after 1–30 s or never, and
+/// brownout windows that slow a replica's disk to 10–100%.
+fn arb_faults(n_replicas: usize) -> impl Strategy<Value = FaultPlan> {
+    let crash = (0.0f64..40.0, 0..n_replicas, any::<bool>(), 1.0f64..30.0).prop_map(
+        |(at, replica, restarts, down_s)| FaultEvent {
+            at,
+            kind: FaultKind::Crash {
+                replica,
+                restart_after_s: restarts.then_some(down_s),
+            },
+        },
+    );
+    let degrade = (0.0f64..40.0, 0..n_replicas, 1.0f64..20.0, 0.1f64..1.0).prop_map(
+        |(at, replica, len_s, disk_rate)| FaultEvent {
+            at,
+            kind: FaultKind::Degrade {
+                replica,
+                brownout: Brownout {
+                    start_s: at,
+                    end_s: at + len_s,
+                    disk_rate,
+                    pcie_rate: 1.0,
+                },
+            },
+        },
+    );
+    proptest::collection::vec(prop_oneof![crash, degrade], 0..4).prop_map(FaultPlan::scripted)
 }
 
 proptest! {
@@ -121,11 +139,12 @@ proptest! {
             cfg.faults = faults.clone();
             cfg.record_events = true;
             if autoscale {
-                cfg.autoscale = Some(FleetAutoscale {
+                cfg.autoscale = Some(Autoscaler {
+                    up_backlog_s: 1.0,
+                    down_backlog_s: 0.1,
                     interval_s: 5.0,
-                    hi_backlog_s: 1.0,
-                    lo_backlog_s: 0.1,
-                    min_live: 1,
+                    cooldown_s: 0.0,
+                    ..Autoscaler::new(1, n_replicas)
                 });
             }
             let plan = PlacementPlan::from_weights(&weights, n_replicas);

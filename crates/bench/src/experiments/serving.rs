@@ -4,8 +4,8 @@ use super::{md_table, Report};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, LoraEngine, LoraServingConfig, Metrics,
-    PreemptionPolicy, VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, PreemptionPolicy,
+    VariantCatalog, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -33,8 +33,12 @@ fn dz_engine(cost: CostModel, n: usize) -> DeltaZipEngine {
     )
 }
 
-fn lora_engine(cost: CostModel, config: LoraServingConfig) -> LoraEngine {
-    LoraEngine { cost, config }
+/// Punica/S-LoRA-style adapter serving: DeltaZip over an all-LoRA catalog.
+fn lora_engine(cost: CostModel, trace: &Trace, rank: usize) -> DeltaZipEngine {
+    EngineBuilder::new(cost)
+        .scheduler(DeltaZipConfig::default())
+        .catalog(VariantCatalog::all_lora(trace.spec.n_models, rank))
+        .build()
 }
 
 fn dist_name(pop: PopularityDist) -> &'static str {
@@ -212,7 +216,7 @@ pub fn fig14() -> Report {
     let cost = a800_13b();
     let trace = trace_13b(0.75, PopularityDist::Zipf { alpha: 1.5 }, 0x14);
     // LoRA node: both systems use the Punica path (DeltaZip inherits it).
-    let lora = lora_engine(cost, LoraServingConfig::default()).run(&trace);
+    let lora = lora_engine(cost, &trace, 16).run(&trace);
     // FMT node: baseline swaps full models, DeltaZip serves deltas.
     let fmt_vllm = VllmScbEngine::new(cost, VllmScbConfig::default()).run(&trace);
     let fmt_dz = dz_engine(cost, 8).run(&trace);
@@ -256,22 +260,8 @@ pub fn fig15() -> Report {
         let trace = trace_13b(rate, PopularityDist::Uniform, 0x15);
         let dz = dz_engine(cost, 8).run(&trace);
         let full = VllmScbEngine::new(cost, VllmScbConfig::default()).run(&trace);
-        let l16 = lora_engine(
-            cost,
-            LoraServingConfig {
-                rank: 16,
-                ..LoraServingConfig::default()
-            },
-        )
-        .run(&trace);
-        let l64 = lora_engine(
-            cost,
-            LoraServingConfig {
-                rank: 64,
-                ..LoraServingConfig::default()
-            },
-        )
-        .run(&trace);
+        let l16 = lora_engine(cost, &trace, 16).run(&trace);
+        let l64 = lora_engine(cost, &trace, 64).run(&trace);
         rows.push(vec![
             format!("{rate}"),
             format!("{:.1} / {:.2}", dz.mean_e2e(), dz.mean_ttft()),

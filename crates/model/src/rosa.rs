@@ -5,8 +5,8 @@
 //! `Δ = (alpha/r) A B + S` can capture the high-magnitude, localized weight
 //! changes a purely low-rank update misses on hard tasks. The paper's §8
 //! names RoSA as a method existing LoRA serving systems cannot host but
-//! DeltaZip's decoupled architecture can — the serving side lives in
-//! `dz-serve::lora` (`sparse_density > 0`).
+//! DeltaZip's decoupled architecture can. This module covers training
+//! only; `dz-serve` has no RoSA serving path.
 //!
 //! Training follows the RoSA recipe at our scale:
 //!

@@ -5,8 +5,8 @@
 //! the optional store/tracing/prefetch/policy attachments in one place,
 //! then [`build`](EngineBuilder::build) the unified toppings engine.
 //! [`DeltaZipEngine::new`] is the bare engine the builder starts from.
-//! The adapter-only baseline is a plain struct:
-//! [`LoraEngine { cost, config }`](crate::lora::LoraEngine).
+//! The adapter-only baseline is the same engine over
+//! [`VariantCatalog::all_lora`].
 
 use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};

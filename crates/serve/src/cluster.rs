@@ -32,11 +32,6 @@
 //! replicas themselves then replay their assigned sub-traces with the full
 //! engine, so reported latencies include the true cold/warm load charges
 //! their routed request mix produced.
-//!
-//! The multi-*base* partitioning of §5.1 (one GPU group per base model) is
-//! retained: [`BasePartition`] splits variants across bases and
-//! [`run_partitioned`] is now a thin compatibility shim that runs one
-//! single-replica [`ClusterSim`] per base group.
 
 use crate::chaos::{brownout_rates, ChaosAction, ChaosConfig, ChaosStats, FaultKind, Scale};
 use crate::cost::CostModel;
@@ -153,7 +148,7 @@ pub struct PrefetchHint {
 }
 
 /// The baseline: requests cycle over replicas regardless of load or
-/// placement (what the seed `run_partitioned` did across variants).
+/// placement.
 #[derive(Debug, Default)]
 pub struct RoundRobinRouter {
     next: usize,
@@ -1953,120 +1948,6 @@ impl FrontEnd {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multi-base partitioning (§5.1) — compatibility layer.
-// ---------------------------------------------------------------------------
-
-/// Assignment of variants to base models.
-///
-/// DeltaZip batches across variants *of one base*. With `M` distinct base
-/// models, the paper dedicates one GPU group per base (the same
-/// assumption LoRA serving systems make). Variants are routed to their
-/// base's group and each group runs independently over its sub-trace.
-#[derive(Debug, Clone)]
-pub struct BasePartition {
-    /// `base_of[variant] = base index` (bases are `0..n_bases`).
-    pub base_of: Vec<usize>,
-    /// Number of base models / GPU groups.
-    pub n_bases: usize,
-}
-
-impl BasePartition {
-    /// Round-robin assignment of `n_variants` across `n_bases` bases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_bases == 0`.
-    pub fn round_robin(n_variants: usize, n_bases: usize) -> Self {
-        assert!(n_bases > 0, "need at least one base");
-        BasePartition {
-            base_of: (0..n_variants).map(|v| v % n_bases).collect(),
-            n_bases,
-        }
-    }
-
-    /// Splits a trace into per-base sub-traces with remapped model ids.
-    pub fn split(&self, trace: &Trace) -> Vec<Trace> {
-        let mut groups: Vec<Vec<Request>> = vec![Vec::new(); self.n_bases];
-        // Remap each variant to a dense id within its group.
-        let mut local_id = vec![0usize; self.base_of.len()];
-        let mut counts = vec![0usize; self.n_bases];
-        for (v, &b) in self.base_of.iter().enumerate() {
-            local_id[v] = counts[b];
-            counts[b] += 1;
-        }
-        for r in &trace.requests {
-            let b = self.base_of[r.model];
-            let mut r2 = r.clone();
-            r2.model = local_id[r.model];
-            r2.id = r.id; // Keep the global id for merging.
-            groups[b].push(r2);
-        }
-        groups
-            .into_iter()
-            .enumerate()
-            .map(|(b, requests)| Trace {
-                spec: TraceSpec {
-                    n_models: counts[b].max(1),
-                    ..trace.spec
-                },
-                requests,
-            })
-            .collect()
-    }
-}
-
-/// Runs one single-replica [`ClusterSim`] per base group and merges the
-/// metrics — the §5.1 setup, kept as a thin shim over the cluster layer.
-///
-/// Each group gets its own `cost` (its own GPUs); groups run
-/// independently, exactly like the paper's `M` disjoint GPU sets.
-///
-/// # Panics
-///
-/// Panics if the cost-model count differs from the partition's base
-/// count.
-pub fn run_partitioned(
-    partition: &BasePartition,
-    costs: &[CostModel],
-    config: DeltaZipConfig,
-    trace: &Trace,
-) -> Metrics {
-    assert_eq!(
-        costs.len(),
-        partition.n_bases,
-        "one cost model per base group"
-    );
-    let subtraces = partition.split(trace);
-    let mut records = Vec::with_capacity(trace.len());
-    let mut makespan = 0.0f64;
-    for (b, sub) in subtraces.into_iter().enumerate() {
-        if sub.requests.is_empty() {
-            continue;
-        }
-        let mut sim = ClusterSim::new(
-            vec![costs[b]],
-            ClusterConfig {
-                n_replicas: 1,
-                engine: config,
-                ..ClusterConfig::default()
-            },
-            Box::new(RoundRobinRouter::new()),
-        );
-        let report = sim.run(&sub);
-        makespan = makespan.max(report.merged.makespan_s);
-        records.extend(report.merged.records);
-    }
-    records.sort_by_key(|r| r.id);
-    Metrics {
-        engine: format!("DeltaZip[{} bases]", partition.n_bases),
-        records,
-        makespan_s: makespan,
-        swap: SwapStats::default(),
-        toppings: crate::metrics::ToppingsStats::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2109,76 +1990,6 @@ mod tests {
             prompt_tokens: 16,
             output_tokens: 16,
         }
-    }
-
-    // -- base-partition compatibility ------------------------------------
-
-    #[test]
-    fn split_conserves_requests_and_remaps_ids() {
-        let tr = trace();
-        let part = BasePartition::round_robin(12, 3);
-        let subs = part.split(&tr);
-        assert_eq!(subs.len(), 3);
-        let total: usize = subs.iter().map(|s| s.len()).sum();
-        assert_eq!(total, tr.len());
-        for sub in &subs {
-            for r in &sub.requests {
-                assert!(r.model < sub.spec.n_models);
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_run_serves_everything() {
-        let tr = trace();
-        let part = BasePartition::round_robin(12, 2);
-        let costs = vec![CostModel::new(NodeSpec::a800_node(2), ModelShape::llama13b()); 2];
-        let m = run_partitioned(&part, &costs, DeltaZipConfig::default(), &tr);
-        assert_eq!(m.len(), tr.len());
-        let mut ids: Vec<usize> = m.records.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), tr.len());
-    }
-
-    #[test]
-    fn more_groups_with_same_total_gpus_trade_batching_for_isolation() {
-        // 4 GPUs as one TP-4 group vs two TP-2 groups: both must serve the
-        // trace; the comparison itself is workload dependent.
-        let tr = trace();
-        let one = run_partitioned(
-            &BasePartition::round_robin(12, 1),
-            &[CostModel::new(
-                NodeSpec::a800_node(4),
-                ModelShape::llama13b(),
-            )],
-            DeltaZipConfig::default(),
-            &tr,
-        );
-        let two = run_partitioned(
-            &BasePartition::round_robin(12, 2),
-            &vec![CostModel::new(NodeSpec::a800_node(2), ModelShape::llama13b()); 2],
-            DeltaZipConfig::default(),
-            &tr,
-        );
-        assert_eq!(one.len(), two.len());
-        assert!(one.mean_e2e() > 0.0 && two.mean_e2e() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one cost model per base group")]
-    fn cost_count_must_match() {
-        let tr = trace();
-        let part = BasePartition::round_robin(12, 2);
-        let _ = run_partitioned(
-            &part,
-            &[CostModel::new(
-                NodeSpec::a800_node(4),
-                ModelShape::llama13b(),
-            )],
-            DeltaZipConfig::default(),
-            &tr,
-        );
     }
 
     // -- routers ----------------------------------------------------------

@@ -174,7 +174,9 @@ impl CostModel {
             );
             t += s;
             sbmm_s += s;
-            // Adapter SGMV, same pricing as `lora_decode_iter`.
+            // Adapter SGMV (Punica-style): x A then (xA) B per adapter;
+            // tiny k x r and r x n products whose weight traffic is
+            // negligible.
             if adapter_batch > 0 {
                 let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
                 let adapter_bytes = (k * rank + rank * n / tp) as f64 * 2.0;
@@ -234,72 +236,6 @@ impl CostModel {
         t *= self.shape.n_layers as f64;
         t += self.head_and_kv_time(batch_total);
         t += self.allreduce_per_iter(batch_total);
-        t
-    }
-
-    /// Decode iteration for LoRA serving (Punica-style SGMV): base GEMM plus
-    /// a rank-`r` adapter product whose weight traffic is negligible.
-    pub fn lora_decode_iter(&self, reqs_per_adapter: &[usize], rank: usize) -> f64 {
-        let batch: usize = reqs_per_adapter.iter().sum();
-        if batch == 0 {
-            return 0.0;
-        }
-        let tp = self.node.n_gpus.max(1);
-        let mut t = 0.0;
-        for (k, n) in self.shape.layer_linears() {
-            let base = MatmulDesc {
-                m: batch,
-                k,
-                n: n / tp,
-                format: WeightFormat::Fp16,
-            };
-            t += matmul_time(&self.node.gpu, &base);
-            // SGMV: x A then (xA) B for each adapter; tiny k x r and r x n.
-            let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
-            let adapter_bytes = (k * rank + rank * n / tp) as f64 * 2.0;
-            let adapter_flops = 2.0 * batch as f64 * (k * rank + rank * n / tp) as f64;
-            let bw = self.node.gpu.hbm_bw_gbps * 1e9;
-            let peak = self.node.gpu.fp16_tflops * 1e12 * self.node.gpu.efficiency;
-            t += (adapter_flops / peak).max(adapter_bytes * distinct as f64 / bw)
-                + 2.0 * self.node.gpu.kernel_launch_us * 1e-6;
-        }
-        t *= self.shape.n_layers as f64;
-        t += self.head_and_kv_time(batch);
-        t += self.allreduce_per_iter(batch);
-        t
-    }
-
-    /// Decode iteration for RoSA-style adapters (low-rank pair plus an
-    /// unstructured sparse component of the given `density`).
-    ///
-    /// The low-rank part prices like Punica SGMV; the sparse part adds, per
-    /// distinct adapter, the traffic of its non-zeros (value + coordinate)
-    /// and a gather-SpMM that runs far below dense peak — unstructured
-    /// sparsity has no tensor-core support, which is exactly why the paper
-    /// compresses *deltas* with structured 2:4 instead (§4.1).
-    pub fn rosa_decode_iter(&self, reqs_per_adapter: &[usize], rank: usize, density: f64) -> f64 {
-        let mut t = self.lora_decode_iter(reqs_per_adapter, rank);
-        if density <= 0.0 {
-            return t;
-        }
-        let batch: usize = reqs_per_adapter.iter().sum();
-        if batch == 0 {
-            return 0.0;
-        }
-        let tp = self.node.n_gpus.max(1);
-        let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
-        let bw = self.node.gpu.hbm_bw_gbps * 1e9;
-        // Gather-SpMM efficiency relative to dense FP16 peak.
-        let peak = self.node.gpu.fp16_tflops * 1e12 * self.node.gpu.efficiency * 0.1;
-        let mut sparse = 0.0;
-        for (k, n) in self.shape.layer_linears() {
-            let nnz = density * (k * n / tp) as f64;
-            // FP16 value + 32-bit coordinate per non-zero.
-            let bytes = nnz * 6.0 * distinct as f64;
-            let flops = 2.0 * batch as f64 * nnz;
-            sparse += (flops / peak).max(bytes / bw) + self.node.gpu.kernel_launch_us * 1e-6;
-        }
-        t += sparse * self.shape.n_layers as f64;
         t
     }
 
@@ -604,7 +540,9 @@ mod tests {
     fn lora_iter_is_cheapest() {
         let cm = model();
         let reqs = vec![1usize; 8];
-        let lora = cm.lora_decode_iter(&reqs, 16);
+        let lora = cm
+            .toppings_decode_iter(8, &[], &reqs, 16, BatchedImpl::SbmmPlus)
+            .total_s;
         let dz = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
         assert!(lora < dz, "lora {lora} vs dz {dz}");
     }
@@ -838,33 +776,6 @@ mod tests {
         assert_eq!(cm.deltazip_decode_iter(&[], BatchedImpl::SbmmPlus), 0.0);
         assert_eq!(cm.vllm_decode_iter(&[0, 0]), 0.0);
         assert_eq!(cm.prefill_time(0), 0.0);
-    }
-
-    #[test]
-    fn rosa_sits_between_lora_and_delta() {
-        let cm = model();
-        let reqs = vec![1usize; 8];
-        let lora = cm.lora_decode_iter(&reqs, 16);
-        let rosa = cm.rosa_decode_iter(&reqs, 16, 0.01);
-        let dz = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
-        assert!(
-            rosa > lora,
-            "rosa {rosa} must pay for the sparse part over {lora}"
-        );
-        assert!(
-            rosa < dz,
-            "rosa {rosa} should stay under full delta serving {dz}"
-        );
-    }
-
-    #[test]
-    fn rosa_with_zero_density_is_lora() {
-        let cm = model();
-        let reqs = vec![2usize; 4];
-        assert_eq!(
-            cm.rosa_decode_iter(&reqs, 16, 0.0),
-            cm.lora_decode_iter(&reqs, 16)
-        );
     }
 
     #[test]

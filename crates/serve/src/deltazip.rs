@@ -1285,6 +1285,7 @@ mod tests {
     use crate::slo::{SloClass, SloPolicy};
     use crate::swap::{PopularityPrefetch, QueueLookahead};
     use crate::tuning::{DynamicN, DynamicNConfig};
+    use crate::vllm_scb::{VllmScbConfig, VllmScbEngine};
     use dz_gpusim::shapes::ModelShape;
     use dz_gpusim::spec::NodeSpec;
     use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
@@ -1743,5 +1744,66 @@ mod tests {
         assert_eq!(m.len(), trace.len());
         let n = e.dynamic_n.as_ref().expect("controller present").current();
         assert!((2..=6).contains(&n), "controller left bounds: {n}");
+    }
+
+    // -- adapter-serving baseline: an all-LoRA catalog --------------------
+
+    fn lora_trace(rate: f64, seed: u64) -> Trace {
+        Trace::generate(TraceSpec {
+            n_models: 16,
+            arrival_rate: rate,
+            duration_s: 60.0,
+            popularity: PopularityDist::Uniform,
+            seed,
+        })
+    }
+
+    fn all_lora(rank: usize) -> DeltaZipEngine {
+        builder(8)
+            .catalog(VariantCatalog::all_lora(16, rank))
+            .build()
+    }
+
+    #[test]
+    fn serves_everything_with_no_load_waits() {
+        let tr = lora_trace(1.0, 1);
+        let m = all_lora(16).run(&tr);
+        assert_eq!(m.len(), tr.len());
+        assert!(m.records.iter().all(|r| r.load_s == 0.0));
+        assert_eq!(m.swap.demand_loads, 0, "adapters are all resident");
+    }
+
+    #[test]
+    fn figure15_ordering_lora_fastest_fullmodel_slowest() {
+        let tr = lora_trace(1.5, 2);
+        let lora = all_lora(16).run(&tr);
+        let dz = engine(8).run(&tr);
+        let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
+        let vllm = VllmScbEngine::new(cost, VllmScbConfig::default()).run(&tr);
+        assert!(
+            lora.mean_e2e() <= dz.mean_e2e() * 1.05,
+            "lora {} vs dz {}",
+            lora.mean_e2e(),
+            dz.mean_e2e()
+        );
+        assert!(
+            dz.mean_e2e() < vllm.mean_e2e(),
+            "dz {} vs vllm {}",
+            dz.mean_e2e(),
+            vllm.mean_e2e()
+        );
+    }
+
+    #[test]
+    fn higher_rank_is_slightly_slower() {
+        let tr = lora_trace(2.0, 3);
+        let r16 = all_lora(16).run(&tr);
+        let r64 = all_lora(64).run(&tr);
+        assert!(
+            r16.mean_e2e() <= r64.mean_e2e() * 1.01,
+            "r16 {} vs r64 {}",
+            r16.mean_e2e(),
+            r64.mean_e2e()
+        );
     }
 }

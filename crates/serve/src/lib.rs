@@ -1,6 +1,6 @@
 //! Serving engines over the GPU performance model.
 //!
-//! Three engines reproduce the paper's comparison points:
+//! Two engines reproduce the paper's comparison points:
 //!
 //! * [`deltazip::DeltaZipEngine`] — the paper's system: base model resident,
 //!   compressed deltas swapped on demand, requests across variants batched
@@ -9,9 +9,11 @@
 //!   preemption, and a cap of `N` concurrent deltas,
 //! * [`vllm_scb::VllmScbEngine`] — the baseline the paper builds (vLLM +
 //!   Swapping, Continuous batching, same-model Batching): full FP16 models
-//!   swapped whole, batching only within one model,
-//! * [`lora::LoraEngine`] — Punica/S-LoRA-style adapter serving: adapters
-//!   are tiny, all resident, everything batches.
+//!   swapped whole, batching only within one model.
+//!
+//! Punica/S-LoRA-style adapter serving is a [`deltazip::DeltaZipEngine`]
+//! over [`variant::VariantCatalog::all_lora`]: adapters are tiny, all
+//! resident, and everything batches.
 //!
 //! All engines consume the same [`dz_workload::Trace`]s and emit the same
 //! [`metrics::Metrics`], so every figure is an apples-to-apples sweep.
@@ -35,7 +37,6 @@ pub mod cluster;
 pub mod cost;
 pub mod deltazip;
 pub mod fleet;
-pub mod lora;
 pub mod metrics;
 pub mod policy;
 pub mod predictor;
@@ -52,9 +53,9 @@ pub use chaos::{
     RandomFaultConfig, Rollout,
 };
 pub use cluster::{
-    AdmissionConfig, BasePartition, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
-    LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PrefetchHint, ReplicaView,
-    RoundRobinRouter, Router, RoutingStats, ShedRecord,
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
+    PlacementAwareRouter, PlacementPlan, PrefetchHint, ReplicaView, RoundRobinRouter, Router,
+    RoutingStats, ShedRecord,
 };
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
@@ -62,7 +63,6 @@ pub use fleet::{
     FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetRouter, FleetSim,
     FleetTopology,
 };
-pub use lora::{LoraEngine, LoraServingConfig};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};
 pub use policy::{PreemptionPolicy, ResumePolicy};
 pub use predictor::LengthEstimator;

@@ -165,7 +165,19 @@ impl VariantCatalog {
         }
     }
 
-    /// All `n` models are rank-`rank` adapters — the legacy LoRA world.
+    /// All `n` models are rank-`rank` adapters: the Punica/S-LoRA-style
+    /// adapter-serving baseline of Figures 14/15. On a [`DeltaZipEngine`]
+    /// this models:
+    ///
+    /// * every adapter resident on the GPU, with no swap-in;
+    /// * FCFS admission up to `max_batch`;
+    /// * no preemption: with `max_toppings_per_batch: None` no request
+    ///   starves behind a topping cap, so nothing is ever preempted;
+    /// * SGMV priced at the catalog's
+    ///   [`max_adapter_rank`](Self::max_adapter_rank), so a mixed-rank
+    ///   catalog prices every adapter at its largest rank.
+    ///
+    /// [`DeltaZipEngine`]: crate::deltazip::DeltaZipEngine
     pub fn all_lora(n: usize, rank: usize) -> Self {
         VariantCatalog {
             specs: vec![VariantSpec::lora(rank); n],

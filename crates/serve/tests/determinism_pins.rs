@@ -14,6 +14,9 @@
 //! `chaos::FaultPlan` and the shared autoscaler tick, from a tree whose
 //! only change was the fleet's drain victim (highest id → emptiest, the
 //! cluster's rule); the unchanged tree gives a different value.
+//! `lora_baseline_run_is_pinned` was harvested from the former
+//! stand-alone adapter-serving engine, before the LoRA baseline became an
+//! all-LoRA `VariantCatalog` on the DeltaZip engine.
 //!
 //! If a PR changes one of these values *on purpose* (a scheduling or
 //! cost-model change), re-pin deliberately: run with
@@ -61,6 +64,7 @@ const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
 const PIN_CLUSTER_CHAOS: u64 = 0x4a3ae34f6c2b238e;
 const PIN_ENGINE_ATTACHMENTS: u64 = 0x8f93cdc7a6db77f4;
 const PIN_FLEET_CHAOS: u64 = 0x70fe7e75ba04ee20;
+const PIN_LORA_BASELINE: u64 = 0xe2a79f532320b1a9;
 
 /// Fleet-scale event core: p2c routing over 24 replicas exercises the
 /// per-replica warm-set LRU (`FleetReplica::warm`) on every request.
@@ -314,4 +318,37 @@ fn engine_attachments_run_is_pinned() {
     pin.word(m.swap.prefetch_hits as u64);
     pin.word(log.len() as u64);
     check("engine_attachments", pin.0, PIN_ENGINE_ATTACHMENTS);
+}
+
+/// The adapter-serving baseline of Figures 14/15 on the a800/llama13b
+/// cost: fig15's heaviest column (32 uniform models at 4 req/s, ranks 16
+/// and 64) and fig14's Zipf-1.5 trace at 0.75 req/s, rank 16.
+#[test]
+fn lora_baseline_run_is_pinned() {
+    let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
+    let trace_13b = |rate, popularity, seed| {
+        Trace::generate(TraceSpec {
+            n_models: 32,
+            arrival_rate: rate,
+            duration_s: 300.0,
+            popularity,
+            seed,
+        })
+    };
+    let uniform = trace_13b(4.0, PopularityDist::Uniform, 0x15);
+    let zipf = trace_13b(0.75, PopularityDist::Zipf { alpha: 1.5 }, 0x14);
+    let mut pin = Pin::new();
+    for (tr, rank) in [(&uniform, 16), (&uniform, 64), (&zipf, 16)] {
+        let m = EngineBuilder::new(cost)
+            .scheduler(DeltaZipConfig::default())
+            .catalog(VariantCatalog::all_lora(tr.spec.n_models, rank))
+            .build()
+            .run(tr);
+        pin.metrics(&m);
+        let t = &m.toppings;
+        for w in [t.batches, t.max_toppings_in_batch, t.lora_reqs] {
+            pin.word(w as u64);
+        }
+    }
+    check("lora_baseline", pin.0, PIN_LORA_BASELINE);
 }

@@ -4,8 +4,8 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraEngine,
-    LoraServingConfig, PreemptionPolicy, VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, PreemptionPolicy,
+    VariantCatalog, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
@@ -81,7 +81,10 @@ proptest! {
             seed,
         });
         let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-        let m = LoraEngine { cost, config: LoraServingConfig { rank, ..LoraServingConfig::default() } }
+        let m = EngineBuilder::new(cost)
+            .scheduler(DeltaZipConfig::default())
+            .catalog(VariantCatalog::all_lora(trace.spec.n_models, rank))
+            .build()
             .run(&trace);
         check(&trace, &m);
     }

@@ -4,7 +4,7 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, LoraEngine, LoraServingConfig, Metrics,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, VariantCatalog,
     VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -52,10 +52,12 @@ fn all_engines_conserve_requests() {
     let engines: Vec<Box<dyn Engine>> = vec![
         Box::new(DeltaZipEngine::new(c, DeltaZipConfig::default())),
         Box::new(VllmScbEngine::new(c, VllmScbConfig::default())),
-        Box::new(LoraEngine {
-            cost: c,
-            config: LoraServingConfig::default(),
-        }),
+        Box::new(
+            EngineBuilder::new(c)
+                .scheduler(DeltaZipConfig::default())
+                .catalog(VariantCatalog::all_lora(tr.spec.n_models, 16))
+                .build(),
+        ),
     ];
     for mut e in engines {
         let m = e.run(&tr);

@@ -42,6 +42,23 @@ fn bench_gemm_formats(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shape wallbench `hot-batch` serves: d=128 projections of 4-bit 2:4
+/// deltas with group 16, at the per-delta row counts a 16-row batch over
+/// 4 deltas produces (and a prefill-sized block).
+fn bench_hot_batch_shape(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hot_batch");
+    let (d_in, d_out) = (128, 128);
+    let mut rng = Rng::seeded(5);
+    let sparse4 = packed(d_in, d_out, 4, true, 6);
+    for m in [1usize, 4, 16] {
+        let x = Matrix::randn(m, d_in, 1.0, &mut rng);
+        group.bench_with_input(BenchmarkId::new("int4_sparse24", m), &x, |b, x| {
+            b.iter(|| quant_gemm(x, &sparse4))
+        });
+    }
+    group.finish();
+}
+
 fn bench_sbmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sbmm");
     let (d_in, d_out) = (128, 128);
@@ -64,5 +81,10 @@ fn bench_sbmm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm_formats, bench_sbmm);
+criterion_group!(
+    benches,
+    bench_gemm_formats,
+    bench_hot_batch_shape,
+    bench_sbmm
+);
 criterion_main!(benches);

@@ -76,24 +76,28 @@ impl<'a> DecoupledBatch<'a> {
         }
     }
 
-    /// Admits a request for `variant`, processing its prompt token by token
-    /// (prefill); returns the slot index.
+    /// Admits a request for `variant` and prefills its prompt in one
+    /// multi-row pass; returns the slot index.
+    ///
+    /// Every prompt token but the last runs through a single batched step
+    /// as consecutive rows of the new slot (its logits appear at the first
+    /// decode step). Each row attends to the rows before it, so the pass is
+    /// causal, and since every kernel computes each row on its own the
+    /// result is bit-identical to feeding the prompt one token at a time.
     ///
     /// # Panics
     ///
-    /// Panics if the variant index is out of range or the prompt is empty.
+    /// Panics if the variant index is out of range, the prompt is empty or
+    /// longer than the model's context.
     pub fn admit(&mut self, variant: usize, prompt: &[usize]) -> usize {
         assert!(variant < self.variants.len(), "variant out of range");
         assert!(!prompt.is_empty(), "empty prompt");
-        let last = *prompt.last().expect("non-empty");
+        let (&last, prefix) = prompt.split_last().expect("non-empty");
         self.slots
             .push(Slot::new(variant, self.base.config.n_layers, last));
         let idx = self.slots.len() - 1;
-        // Prefill: feed all but the last prompt token (its logits appear at
-        // the first decode step).
-        for &tok in &prompt[..prompt.len() - 1] {
-            self.forward_one(idx, tok);
-        }
+        let work: Vec<(usize, usize)> = prefix.iter().map(|&tok| (idx, tok)).collect();
+        let _ = self.step_tokens(&work);
         idx
     }
 
@@ -104,11 +108,6 @@ impl<'a> DecoupledBatch<'a> {
             .rest
             .get(name)
             .unwrap_or_else(|| self.base.get(name).expect("param exists"))
-    }
-
-    /// Runs one token through one slot's cache (used for prefill).
-    fn forward_one(&mut self, slot: usize, token: usize) {
-        let _ = self.step_tokens(&[(slot, token)]);
     }
 
     /// Decodes one token for every active slot; returns `(slot, next)` pairs
@@ -136,21 +135,105 @@ impl<'a> DecoupledBatch<'a> {
         &self.slots[slot].generated
     }
 
+    /// One decoupled projection over the batch: the shared base GEMM plus,
+    /// for each variant, its delta product on the rows (`rows_of[v]`) that
+    /// target it.
+    ///
+    /// A quantized variant's rows are gathered into one fused
+    /// [`quant_gemm`] call, as [`sbmm_grouped`] does; a non-quant variant
+    /// multiplies its rows against the dense copy made at construction.
+    /// Every row's delta product is independent of the other rows, so a
+    /// request's output does not depend on what shares its batch.
+    fn linear(&self, x: &Matrix, w_base: &Matrix, rows_of: &[Vec<usize>], name: &str) -> Matrix {
+        let mut y = dense_gemm(x, w_base);
+        for (v, rows) in rows_of.iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            match &self.dense_layers[v] {
+                Some(dense) => {
+                    let d = dense.get(name).expect("delta layer exists");
+                    for &bi in rows {
+                        let yr = y.row_mut(bi);
+                        for (k, &xv) in x.row(bi).iter().enumerate() {
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for (yv, &dv) in yr.iter_mut().zip(d.row(k)) {
+                                *yv += xv * dv;
+                            }
+                        }
+                    }
+                }
+                None => {
+                    let cm = self.variants[v]
+                        .layers
+                        .get(name)
+                        .expect("delta layer exists")
+                        .as_quant()
+                        .expect("variant without dense copy is quant");
+                    let mut xg = Matrix::zeros(rows.len(), x.cols());
+                    for (gr, &bi) in rows.iter().enumerate() {
+                        xg.row_mut(gr).copy_from_slice(x.row(bi));
+                    }
+                    let yg = quant_gemm(&xg, cm);
+                    for (gr, &bi) in rows.iter().enumerate() {
+                        for (yv, &dv) in y.row_mut(bi).iter_mut().zip(yg.row(gr)) {
+                            *yv += dv;
+                        }
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    /// Adds each row's variant bias `name` (a `(1, n)` parameter) to `m`.
+    fn add_bias(&self, work: &[(usize, usize)], m: &mut Matrix, name: &str) {
+        for (bi, &(slot, _)) in work.iter().enumerate() {
+            let bias = self.rest_param(self.slots[slot].variant, name);
+            for (val, &b) in m.row_mut(bi).iter_mut().zip(bias.row(0)) {
+                *val += b;
+            }
+        }
+    }
+
+    /// Row-wise LayerNorm of `x` with each row's variant gain and bias.
+    fn layer_norm(&self, work: &[(usize, usize)], x: &Matrix, gain: &str, bias: &str) -> Matrix {
+        let mut h = Matrix::zeros(x.rows(), x.cols());
+        for (bi, &(slot, _)) in work.iter().enumerate() {
+            let variant = self.slots[slot].variant;
+            let (g, b) = (
+                self.rest_param(variant, gain),
+                self.rest_param(variant, bias),
+            );
+            layer_norm_row(x.row(bi), g, b, h.row_mut(bi));
+        }
+        h
+    }
+
     /// Core batched step: advances each `(slot, token)` by one position.
     ///
-    /// All six linear projections run decoupled (shared base GEMM + SBMM);
-    /// attention and normalization run per request against its own cache
-    /// and variant parameters.
+    /// A slot may appear in several rows (prefill): its rows take
+    /// consecutive positions in order, and each attends to the rows before
+    /// it. All six linear projections run decoupled (shared base GEMM plus
+    /// per-variant delta products); attention and normalization run per
+    /// row against its slot's cache and variant parameters.
     fn step_tokens(&mut self, work: &[(usize, usize)]) -> Vec<Vec<f32>> {
-        let cfg = &self.base.config;
+        let cfg = self.base.config;
         let d = cfg.d_model;
         let b = work.len();
-        let delta_idx: Vec<usize> = work.iter().map(|(s, _)| self.slots[*s].variant).collect();
+        let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); self.variants.len()];
+        for (bi, &(slot, _)) in work.iter().enumerate() {
+            rows_of[self.slots[slot].variant].push(bi);
+        }
 
         // Embedding lookup per request (token + absolute position).
         let mut x = Matrix::zeros(b, d);
+        let mut earlier_rows = vec![0usize; self.slots.len()];
         for (bi, &(slot, token)) in work.iter().enumerate() {
-            let pos = self.slots[slot].cache.len();
+            let pos = self.slots[slot].cache.len() + earlier_rows[slot];
+            earlier_rows[slot] += 1;
             assert!(pos < cfg.max_seq, "sequence overflow");
             let variant = self.slots[slot].variant;
             let tok_emb = self.rest_param(variant, "tok_emb");
@@ -161,161 +244,48 @@ impl<'a> DecoupledBatch<'a> {
             }
         }
 
-        let heads = cfg.n_heads;
         for li in 0..cfg.n_layers {
-            let variants = &self.variants;
-            let dense_layers = &self.dense_layers;
-            // Shared base GEMM + per-variant delta product. All-quant
-            // batches take the grouped SBMM path outright; in mixed
-            // batches, requests for quantized variants still run packed
-            // SBMM (naive per-row) and only the non-quant variants use
-            // their cached dense copies.
-            let linear = move |x: &Matrix, w_base: &Matrix, idx: &[usize], field: &str| {
-                let name = format!("layer{li}.{field}");
-                if dense_layers.iter().all(Option::is_none) {
-                    let deltas: Vec<&CompressedMatrix> = variants
-                        .iter()
-                        .map(|v| {
-                            v.layers
-                                .get(&name)
-                                .expect("delta layer exists")
-                                .as_quant()
-                                .expect("all-quant batch")
-                        })
-                        .collect();
-                    return decoupled_linear(x, w_base, idx, &deltas);
-                }
-                let mut y = dense_gemm(x, w_base);
-                for (bi, &v) in idx.iter().enumerate() {
-                    let xr = x.row(bi);
-                    let yr = y.row_mut(bi);
-                    match &dense_layers[v] {
-                        // Non-quant variant: dense row product against the
-                        // copy dequantized at construction.
-                        Some(dense) => {
-                            let d = dense.get(&name).expect("delta layer exists");
-                            for (k, &xv) in xr.iter().enumerate() {
-                                if xv == 0.0 {
-                                    continue;
-                                }
-                                let drow = d.row(k);
-                                for (j, yv) in yr.iter_mut().enumerate() {
-                                    *yv += xv * drow[j];
-                                }
-                            }
-                        }
-                        // Quantized variant: the same fused quant_gemm the
-                        // grouped SBMM path runs, on this request's row —
-                        // per-row accumulation order is identical, so a
-                        // quant variant's output is bit-identical whether
-                        // or not non-quant variants share the batch.
-                        None => {
-                            let cm = variants[v]
-                                .layers
-                                .get(&name)
-                                .expect("delta layer exists")
-                                .as_quant()
-                                .expect("variant without dense copy is quant");
-                            let xi = Matrix::from_vec(1, xr.len(), xr.to_vec());
-                            let yi = quant_gemm(&xi, cm);
-                            for (j, yv) in yr.iter_mut().enumerate() {
-                                *yv += yi.get(0, j);
-                            }
-                        }
-                    }
-                }
-                y
-            };
-            // Pre-attention LayerNorm, per request (variant gains/biases).
-            let mut h = Matrix::zeros(b, d);
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                let g = self
-                    .rest_param(variant, &format!("layer{li}.ln1_g"))
-                    .clone();
-                let bb = self
-                    .rest_param(variant, &format!("layer{li}.ln1_b"))
-                    .clone();
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &g, &bb, h.row_mut(bi));
-            }
-            // Decoupled projections + per-variant biases.
+            let [ln1_g, ln1_b, wq, wk, wv, bq, bk, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2] = [
+                "ln1_g", "ln1_b", "wq", "wk", "wv", "bq", "bk", "bv", "wo", "bo", "ln2_g", "ln2_b",
+                "w1", "b1", "w2", "b2",
+            ]
+            .map(|field| format!("layer{li}.{field}"));
             let base_l = &self.base.layers[li];
-            let mut q = linear(&h, &base_l.wq, &delta_idx, "wq");
-            let mut k = linear(&h, &base_l.wk, &delta_idx, "wk");
-            let mut v = linear(&h, &base_l.wv, &delta_idx, "wv");
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                for (name, m) in [("bq", &mut q), ("bk", &mut k), ("bv", &mut v)] {
-                    let bias = self
-                        .rest_param(variant, &format!("layer{li}.{name}"))
-                        .clone();
-                    for (c, val) in m.row_mut(bi).iter_mut().enumerate() {
-                        *val += bias.get(0, c);
-                    }
-                }
-            }
-            // Attention per request against its own cache.
+            // Attention block: pre-norm, decoupled projections + biases.
+            let h = self.layer_norm(work, &x, &ln1_g, &ln1_b);
+            let mut q = self.linear(&h, &base_l.wq, &rows_of, &wq);
+            let mut k = self.linear(&h, &base_l.wk, &rows_of, &wk);
+            let mut v = self.linear(&h, &base_l.wv, &rows_of, &wv);
+            self.add_bias(work, &mut q, &bq);
+            self.add_bias(work, &mut k, &bk);
+            self.add_bias(work, &mut v, &bv);
+            // Attention per row against its slot's cache, in row order.
             let mut attn = Matrix::zeros(b, d);
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let cache = &mut self.slots[slot].cache;
-                attention_one(&q, &k, &v, bi, cache, li, heads, &mut attn);
+                attention_one(&q, &k, &v, bi, cache, li, cfg.n_heads, &mut attn);
             }
-            let mut proj = linear(&attn, &base_l.wo, &delta_idx, "wo");
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.bo")).clone();
-                for (c, val) in proj.row_mut(bi).iter_mut().enumerate() {
-                    *val += bias.get(0, c);
-                }
-            }
+            let mut proj = self.linear(&attn, &base_l.wo, &rows_of, &wo);
+            self.add_bias(work, &mut proj, &bo);
             x.add_assign(&proj);
             // MLP block.
-            let mut h2 = Matrix::zeros(b, d);
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                let g = self
-                    .rest_param(variant, &format!("layer{li}.ln2_g"))
-                    .clone();
-                let bb = self
-                    .rest_param(variant, &format!("layer{li}.ln2_b"))
-                    .clone();
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &g, &bb, h2.row_mut(bi));
-            }
-            let mut up = linear(&h2, &base_l.w1, &delta_idx, "w1");
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.b1")).clone();
-                for (c, val) in up.row_mut(bi).iter_mut().enumerate() {
-                    *val += bias.get(0, c);
-                }
-            }
+            let h2 = self.layer_norm(work, &x, &ln2_g, &ln2_b);
+            let mut up = self.linear(&h2, &base_l.w1, &rows_of, &w1);
+            self.add_bias(work, &mut up, &b1);
             gelu_assign(&mut up);
-            let mut down = linear(&up, &base_l.w2, &delta_idx, "w2");
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.b2")).clone();
-                for (c, val) in down.row_mut(bi).iter_mut().enumerate() {
-                    *val += bias.get(0, c);
-                }
-            }
+            let mut down = self.linear(&up, &base_l.w2, &rows_of, &w2);
+            self.add_bias(work, &mut down, &b2);
             x.add_assign(&down);
         }
         // Final norm + per-variant head.
+        let xf = self.layer_norm(work, &x, "lnf_g", "lnf_b");
         let mut out = Vec::with_capacity(b);
         for (bi, &(slot, _)) in work.iter().enumerate() {
-            let variant = self.slots[slot].variant;
-            let g = self.rest_param(variant, "lnf_g").clone();
-            let bb = self.rest_param(variant, "lnf_b").clone();
-            let mut xf = vec![0.0f32; d];
-            let src: Vec<f32> = x.row(bi).to_vec();
-            layer_norm_row(&src, &g, &bb, &mut xf);
-            let head = self.rest_param(variant, "head");
-            let mut logits = vec![0.0f32; self.base.config.vocab];
+            let head = self.rest_param(self.slots[slot].variant, "head");
+            let mut logits = vec![0.0f32; cfg.vocab];
             for (c, l) in logits.iter_mut().enumerate() {
                 let mut acc = 0.0f32;
-                for (r, xv) in xf.iter().enumerate() {
+                for (r, xv) in xf.row(bi).iter().enumerate() {
                     acc += xv * head.get(r, c);
                 }
                 *l = acc;
@@ -410,6 +380,69 @@ mod tests {
         }
         assert_eq!(batch.generated(s1), &w1[..], "variant 0 output diverged");
         assert_eq!(batch.generated(s2), &w2[..], "variant 1 output diverged");
+    }
+
+    /// Token-by-token prefill: one single-row step per prompt token.
+    fn admit_token_by_token(batch: &mut DecoupledBatch, variant: usize, prompt: &[usize]) -> usize {
+        let (&last, prefix) = prompt.split_last().unwrap();
+        let n_layers = batch.base.config.n_layers;
+        batch.slots.push(Slot::new(variant, n_layers, last));
+        let idx = batch.slots.len() - 1;
+        for &tok in prefix {
+            batch.step_tokens(&[(idx, tok)]);
+        }
+        idx
+    }
+
+    #[test]
+    fn one_pass_prefill_matches_token_by_token_prefill() {
+        let (base, cd, _) = setup();
+        let corpus = Corpus::new(base.config.max_seq);
+        let mut tuned2 = base.clone();
+        finetune_fmt(
+            &mut tuned2,
+            &dz_model::tasks::NliTask,
+            TrainConfig::finetune(40),
+        );
+        let calib = calibration_set(&corpus, 4, 9);
+        let (cd2, _) = delta_compress(&base, &tuned2, &calib, DeltaCompressConfig::starred(4));
+        let prompts = [vec![1usize], vec![1, 20], vec![1, 25, 2, 30, 4]];
+        let requests: Vec<(usize, &[usize])> = (0..2)
+            .flat_map(|v| prompts.iter().map(move |p| (v, &p[..])))
+            .collect();
+        let fill = |one_pass: bool| {
+            let mut batch = DecoupledBatch::new(&base, vec![&cd, &cd2]);
+            for &(v, p) in &requests {
+                if one_pass {
+                    batch.admit(v, p);
+                } else {
+                    admit_token_by_token(&mut batch, v, p);
+                }
+            }
+            batch
+        };
+        // Next-step logits, bit for bit.
+        let (mut one, mut each) = (fill(true), fill(false));
+        let work: Vec<(usize, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(slot, (_, p))| (slot, *p.last().unwrap()))
+            .collect();
+        let bits = |logits: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            logits
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(one.step_tokens(&work)), bits(each.step_tokens(&work)));
+        // Generated tokens.
+        let (mut one, mut each) = (fill(true), fill(false));
+        for _ in 0..4 {
+            assert_eq!(one.decode_step(), each.decode_step());
+        }
+        for slot in 0..requests.len() {
+            assert_eq!(one.generated(slot), each.generated(slot));
+        }
     }
 
     #[test]

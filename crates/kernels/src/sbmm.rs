@@ -9,8 +9,10 @@
 //! 2. performs one multiply per *distinct* delta in the batch.
 //!
 //! Outputs are written back in the original request order, so both
-//! implementations are interchangeable; tests assert bit-equality of the
-//! grouped path against the naive one.
+//! implementations are interchangeable. Each group runs one fused
+//! [`quant_gemm`], which decodes the delta once per call and computes every
+//! row in the same accumulation order whatever the batch around it, so the
+//! grouped result is bit-identical to the per-request one; tests assert it.
 
 use crate::qgemm::quant_gemm;
 use dz_compress::pack::CompressedMatrix;

@@ -238,8 +238,8 @@ fn gemm_sparse(xt: &[Lane], cm: &CompressedMatrix, y: &mut Matrix) {
     // Runs `(first, end, scale group)` of kept values whose 2:4 group
     // starts in one scale group, and the 2:4 groups that straddle a
     // scale-group boundary (only when the group size is not a multiple of
-    // 4) with the scale group of each of their columns. Both hold for
-    // every row.
+    // 4) with the scale group of each of their columns. Both are the same
+    // for every row.
     let mut runs: Vec<(usize, usize, usize)> = Vec::new();
     let mut straddling = Vec::new();
     for (g, &cols) in col_group.as_chunks::<4>().0.iter().enumerate() {

@@ -80,14 +80,14 @@ proptest! {
         seed in any::<u64>(),
         bits in 2u32..=8,
         sparse in any::<bool>(),
-        group_pick in 0usize..4,
+        group_pick in 0usize..5,
         width in 1usize..=18,
         d_out in 1usize..=11,
         batch in 1usize..=20,
     ) {
-        // 8 and 16 divide the 2:4 groups; 12 is not a multiple of 16, and
-        // 6 makes some 2:4 groups straddle two scale groups.
-        let group_size = [8usize, 16, 12, 6][group_pick];
+        // 8 and 16 divide the 2:4 groups; 12 is not a multiple of 16; 6
+        // makes some 2:4 groups straddle two scale groups, 3 every one.
+        let group_size = [8usize, 16, 12, 6, 3][group_pick];
         let (format, d_in) = if sparse {
             (MatrixFormat::QuantSparse24, width * 4)
         } else {

@@ -13,32 +13,12 @@
 //! and per-variant uncompressed parameters (biases, norms, embeddings) taken
 //! from each variant's delta artifact.
 
-use crate::qgemm::{dense_gemm, quant_gemm};
+use crate::qgemm::dense_gemm;
 use crate::runner::{argmax, attention_one, gelu_assign, layer_norm_row, Slot};
-use crate::sbmm::sbmm_grouped;
-use dz_compress::pack::CompressedMatrix;
+use crate::sbmm::add_group_product;
 use dz_compress::pipeline::CompressedDelta;
 use dz_model::transformer::Params;
 use dz_tensor::Matrix;
-
-/// One decoupled linear layer: shared dense base GEMM plus SBMM deltas.
-///
-/// `x` is `(batch, d_in)`; `delta_idx[i]` selects the delta of request `i`.
-///
-/// # Panics
-///
-/// Panics on shape mismatches (see [`sbmm_grouped`]).
-pub fn decoupled_linear(
-    x: &Matrix,
-    w_base: &Matrix,
-    delta_idx: &[usize],
-    deltas: &[&CompressedMatrix],
-) -> Matrix {
-    let mut y = dense_gemm(x, w_base);
-    let yd = sbmm_grouped(x, delta_idx, deltas);
-    y.add_assign(&yd);
-    y
-}
 
 /// A batched, decoupled decoder over one base model and many variants.
 pub struct DecoupledBatch<'a> {
@@ -96,8 +76,10 @@ impl<'a> DecoupledBatch<'a> {
         self.slots
             .push(Slot::new(variant, self.base.config.n_layers, last));
         let idx = self.slots.len() - 1;
-        let work: Vec<(usize, usize)> = prefix.iter().map(|&tok| (idx, tok)).collect();
-        let _ = self.step_tokens(&work);
+        if !prefix.is_empty() {
+            let work: Vec<(usize, usize)> = prefix.iter().map(|&tok| (idx, tok)).collect();
+            let _ = self.step_tokens(&work);
+        }
         idx
     }
 
@@ -140,7 +122,8 @@ impl<'a> DecoupledBatch<'a> {
     /// target it.
     ///
     /// A quantized variant's rows are gathered into one fused
-    /// [`quant_gemm`] call, as [`sbmm_grouped`] does; a non-quant variant
+    /// [`quant_gemm`](crate::qgemm::quant_gemm) call, as
+    /// [`sbmm_grouped`](crate::sbmm::sbmm_grouped) does; a non-quant variant
     /// multiplies its rows against the dense copy made at construction.
     /// Every row's delta product is independent of the other rows, so a
     /// request's output does not depend on what shares its batch.
@@ -172,16 +155,7 @@ impl<'a> DecoupledBatch<'a> {
                         .expect("delta layer exists")
                         .as_quant()
                         .expect("variant without dense copy is quant");
-                    let mut xg = Matrix::zeros(rows.len(), x.cols());
-                    for (gr, &bi) in rows.iter().enumerate() {
-                        xg.row_mut(gr).copy_from_slice(x.row(bi));
-                    }
-                    let yg = quant_gemm(&xg, cm);
-                    for (gr, &bi) in rows.iter().enumerate() {
-                        for (yv, &dv) in y.row_mut(bi).iter_mut().zip(yg.row(gr)) {
-                            *yv += dv;
-                        }
-                    }
+                    add_group_product(x, rows, cm, &mut y);
                 }
             }
         }
@@ -328,7 +302,8 @@ mod tests {
         let fused = w_base.add(&delta.dequantize());
         let mut rng = Rng::seeded(2);
         let x = Matrix::randn(5, w_base.rows(), 1.0, &mut rng);
-        let decoupled = decoupled_linear(&x, w_base, &[0; 5], &[delta]);
+        let batch = DecoupledBatch::new(&base, vec![&cd]);
+        let decoupled = batch.linear(&x, w_base, &[(0..5).collect()], name);
         let reference = x.matmul(&fused);
         assert!(
             decoupled.max_abs_diff(&reference) < 1e-3,

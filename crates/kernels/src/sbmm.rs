@@ -46,7 +46,9 @@ pub fn sbmm_grouped(x: &Matrix, delta_idx: &[usize], deltas: &[&CompressedMatrix
     assert_eq!(x.rows(), delta_idx.len(), "assignment length mismatch");
     check_shapes(deltas);
     let d_out = deltas.first().map_or(0, |d| d.d_out);
-    let mut y = Matrix::zeros(x.rows(), d_out);
+    // -0.0 is the additive identity (`-0.0 + v` is `v` bit for bit, also
+    // for `v = -0.0`), so accumulating each group onto it copies exactly.
+    let mut y = Matrix::full(x.rows(), d_out, -0.0);
     // Bucket request rows per delta (the scheduler's reorder step).
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); deltas.len()];
     for (i, &di) in delta_idx.iter().enumerate() {
@@ -54,21 +56,28 @@ pub fn sbmm_grouped(x: &Matrix, delta_idx: &[usize], deltas: &[&CompressedMatrix
         buckets[di].push(i);
     }
     for (di, rows) in buckets.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        // Gather the group's inputs contiguously.
-        let mut xg = Matrix::zeros(rows.len(), x.cols());
-        for (gr, &i) in rows.iter().enumerate() {
-            xg.row_mut(gr).copy_from_slice(x.row(i));
-        }
-        let yg = quant_gemm(&xg, deltas[di]);
-        // Scatter back to original positions.
-        for (gr, &i) in rows.iter().enumerate() {
-            y.row_mut(i).copy_from_slice(yg.row(gr));
-        }
+        add_group_product(x, rows, deltas[di], &mut y);
     }
     y
+}
+
+/// Adds `x[rows] * cm` into `y[rows]` with one fused [`quant_gemm`] call:
+/// the group's input rows are gathered contiguously and each product row
+/// is added back to its original position. Does nothing for no rows.
+pub(crate) fn add_group_product(x: &Matrix, rows: &[usize], cm: &CompressedMatrix, y: &mut Matrix) {
+    if rows.is_empty() {
+        return;
+    }
+    let mut xg = Matrix::zeros(rows.len(), x.cols());
+    for (gr, &i) in rows.iter().enumerate() {
+        xg.row_mut(gr).copy_from_slice(x.row(i));
+    }
+    let yg = quant_gemm(&xg, cm);
+    for (gr, &i) in rows.iter().enumerate() {
+        for (yv, &dv) in y.row_mut(i).iter_mut().zip(yg.row(gr)) {
+            *yv += dv;
+        }
+    }
 }
 
 fn check_shapes(deltas: &[&CompressedMatrix]) {
@@ -124,7 +133,12 @@ mod tests {
         let idx = vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 0];
         let a = sbmm_naive(&x, &idx, &refs);
         let b = sbmm_grouped(&x, &idx, &refs);
-        assert_eq!(a, b, "grouped and naive must agree exactly");
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a),
+            bits(&b),
+            "grouped and naive must agree bit for bit"
+        );
     }
 
     #[test]

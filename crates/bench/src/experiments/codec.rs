@@ -1,17 +1,23 @@
 //! Codec throughput experiment: the decode fast path measured end to end.
 //!
-//! `bench-lossless` times the three decode paths (serial tree-walk
-//! reference, single-threaded LUT, page-parallel) on a packed-delta-like
-//! corpus and an incompressible one, then drives a real `.dza` artifact
-//! through [`dz_store::TieredDeltaStore::fetch_decoded`] so the measured
-//! store-level decode throughput — the number the serving cost model now
-//! consumes — appears in the same report. Alongside the rendered markdown
-//! it emits a machine-readable `BENCH_lossless.json` next to the other
-//! experiment artifacts.
+//! `bench-lossless` times the decode paths (serial tree-walk reference,
+//! LUT Huffman, and the stored container that `.dza` artifacts hold) on a
+//! packed-delta-like corpus and an incompressible one, then drives a
+//! `cold-zoo`-shaped `.dza` artifact through cold
+//! [`dz_store::TieredDeltaStore::fetch_decoded`] calls, so the measured
+//! store-level throughput — the number the serving cost model consumes —
+//! appears in the same report with its spread. Alongside the rendered
+//! markdown it emits a machine-readable `BENCH_lossless.json` next to the
+//! other experiment artifacts.
 
 use super::{json_provenance, md_table, Report, Scale};
+use dz_compress::calib::calibration_set;
+use dz_compress::codec::{DeltaCodec, SparseGptCodec};
+use dz_compress::pipeline::CompressedDelta;
+use dz_model::tasks::Corpus;
+use dz_model::transformer::{ModelConfig, Params};
 use dz_store::{sha256, Registry, TieredDeltaStore};
-use dz_tensor::Rng;
+use dz_tensor::{Matrix, Rng};
 use std::time::Instant;
 
 /// Packed-delta-like corpus: quantized deltas are low-entropy integer
@@ -75,6 +81,7 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
     let mut measurements: Vec<Measurement> = Vec::new();
     for (corpus, data) in &corpora {
         let compressed = dz_lossless::compress(data);
+        let stored = dz_lossless::store(data);
         let paths: [(&'static str, DecodeFn<'_>); 3] = [
             (
                 "reference",
@@ -83,15 +90,15 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
                 }),
             ),
             (
-                "lut-1-thread",
+                "lut",
                 Box::new(|| {
-                    dz_lossless::decompress_with_threads(&compressed, 1).expect("lut");
+                    dz_lossless::decompress(&compressed).expect("lut");
                 }),
             ),
             (
-                "parallel",
+                "stored",
                 Box::new(|| {
-                    dz_lossless::decompress(&compressed).expect("parallel");
+                    dz_lossless::decode(&stored).expect("stored");
                 }),
             ),
         ];
@@ -111,8 +118,8 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
         }
     }
 
-    // Store-level: one artifact through the pipelined decoded fetch.
-    let store_gbps = measure_store_decode();
+    // Store-level: cold fetches of one cold-zoo-shaped artifact.
+    let store = measure_store_fetch();
 
     let rows: Vec<Vec<String>> = measurements
         .iter()
@@ -126,82 +133,129 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
         })
         .collect();
     let mut body = md_table(&["corpus", "decode path", "MB/s", "vs reference"], &rows);
-    match store_gbps {
-        Some(gbps) => body.push_str(&format!(
-            "\nstore fetch_decoded measured throughput: {:.3} GB/s (compressed)\n",
-            gbps
+    match &store {
+        Some(f) => body.push_str(&format!(
+            "\nstore cold fetch_decoded, cold-zoo-shaped artifact ({} tensors, {} B raw), \
+             {} runs: median {:.3} GB/s (quartiles {:.3}–{:.3}, min {:.3}, max {:.3}); \
+             stored/raw {:.3}, Huffman pages would be {:.3} of raw\n",
+            f.tensors,
+            f.raw_bytes,
+            f.gbps.len(),
+            f.quantile(0.5),
+            f.quantile(0.25),
+            f.quantile(0.75),
+            f.quantile(0.0),
+            f.quantile(1.0),
+            f.stored_bytes as f64 / f.raw_bytes as f64,
+            f.huffman_bytes as f64 / f.raw_bytes as f64,
         )),
         None => body.push_str("\nstore fetch_decoded measurement unavailable\n"),
     }
-    match write_json(&measurements, store_gbps, n, out_dir) {
+    match write_json(&measurements, store.as_ref(), n, out_dir) {
         Ok(path) => body.push_str(&format!("json: {path}\n")),
         Err(e) => body.push_str(&format!("json write failed: {e}\n")),
     }
     Report {
         id: "bench-lossless",
-        title: "Decode pipeline throughput (LUT + parallel pages + pipelined store reads)",
+        title: "Decode throughput (reference, LUT, stored pages) and cold store fetches",
         body,
     }
 }
 
-/// Publishes a synthetic multi-tensor delta into a temp registry and times
-/// a decoded fetch; returns the store's measured compressed GB/s.
-fn measure_store_decode() -> Option<f64> {
-    use dz_compress::codec::{CodecId, PackedLayer};
-    use dz_compress::pack::CompressedMatrix;
-    use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
-    use dz_compress::quant::{quantize_slice, QuantSpec};
-    use dz_tensor::Matrix;
-    use std::collections::BTreeMap;
+/// Cold fetches [`measure_store_fetch`] times; 10 give a median and
+/// quartiles.
+const STORE_FETCH_RUNS: usize = 10;
 
+/// A delta shaped like one `cold-zoo` artifact: SparseGPT* 4-bit on
+/// wallbench's cold-zoo model (vocab 240, d_model 64, 4 layers, d_ff
+/// 128), so packed linears ride with dense embedding, head and norm
+/// tensors — ~220 KB of wire bytes over 69 tensors.
+fn cold_zoo_shaped_delta() -> CompressedDelta {
+    let cfg = ModelConfig {
+        vocab: dz_model::zoo::VOCAB_LARGE,
+        d_model: 64,
+        n_layers: 4,
+        n_heads: 4,
+        d_ff: 128,
+        max_seq: 16,
+    };
+    let mut rng = Rng::seeded(0xC01D);
+    let base = Params::init(cfg, &mut rng);
+    let mut tuned = base.clone();
+    for m in tuned.tensors_mut() {
+        let bump = Matrix::randn(m.rows(), m.cols(), 0.01, &mut rng);
+        m.add_assign(&bump);
+    }
+    let calib = calibration_set(&Corpus::new(cfg.max_seq), 4, 0xCA11B);
+    SparseGptCodec::starred(4).compress(&base, &tuned, &calib).0
+}
+
+/// Cold `fetch_decoded` measurements of one published artifact.
+pub struct StoreFetch {
+    /// Tensors in the artifact.
+    pub tensors: usize,
+    /// Payload bytes per fetch wall second, in GB/s, one per run, sorted.
+    pub gbps: Vec<f64>,
+    /// Wire bytes of every tensor.
+    pub raw_bytes: u64,
+    /// Payload bytes the artifact holds (stored pages).
+    pub stored_bytes: u64,
+    /// Payload bytes the same tensors take as `dz_lossless::compress`
+    /// (Huffman) pages.
+    pub huffman_bytes: u64,
+}
+
+impl StoreFetch {
+    /// The `q` quantile of the per-run rates (nearest rank).
+    pub fn quantile(&self, q: f64) -> f64 {
+        let i = (q * (self.gbps.len() - 1) as f64).round() as usize;
+        self.gbps[i]
+    }
+}
+
+/// Publishes a `cold-zoo`-shaped delta into a temp registry and times 10
+/// cold `fetch_decoded` calls (evicted before each, so each reads the
+/// file and decodes it).
+pub fn measure_store_fetch() -> Option<StoreFetch> {
     let dir = std::env::temp_dir().join(format!("dz-bench-codec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let registry = Registry::open(&dir).ok()?;
-    let mut rng = Rng::seeded(42);
-    let spec = QuantSpec::new(4, 8);
-    let mut layers = BTreeMap::new();
-    for i in 0..8 {
-        let d = 96;
-        let wt = Matrix::randn(d, d, 0.05, &mut rng);
-        let mut levels = Vec::new();
-        let mut scales = Vec::new();
-        for r in 0..d {
-            let (l, s) = quantize_slice(wt.row(r), spec);
-            levels.extend(l);
-            scales.extend(s);
-        }
-        layers.insert(
-            format!("layers.{i}.w"),
-            PackedLayer::Quant(CompressedMatrix::from_dense(d, d, &levels, scales, spec)),
-        );
-    }
-    let delta = CompressedDelta {
-        layers,
-        rest: BTreeMap::new(),
-        codec: CodecId::SparseGptStar,
-        config: DeltaCompressConfig::starred(4),
-        report: SizeReport {
-            compressed_linear_bytes: 1,
-            uncompressed_rest_bytes: 0,
-            full_fp16_bytes: 1,
-            lossless_linear_bytes: None,
-        },
-    };
     let id = registry
-        .publish_delta("bench-delta", sha256(b"base"), &delta)
+        .publish_delta("bench-delta", sha256(b"base"), &cold_zoo_shaped_delta())
         .ok()?;
+    let mut reader = registry.open_artifact(&id).ok()?;
+    let entries = reader.manifest().tensors.clone();
+    let mut huffman_bytes = 0u64;
+    for t in &entries {
+        let raw = reader.read_tensor_bytes(&t.name).ok()?;
+        huffman_bytes += dz_lossless::compress(&raw).len() as u64;
+    }
     let mut store = TieredDeltaStore::new(registry, 1 << 30);
-    store.fetch_decoded(&id).ok()?;
-    let gbps = store.decode_throughput().effective_gbps();
+    let mut gbps = Vec::with_capacity(STORE_FETCH_RUNS);
+    for _ in 0..STORE_FETCH_RUNS {
+        store.evict(&id);
+        let t0 = Instant::now();
+        let fetch = store.fetch_decoded(&id).ok()?;
+        let wall = t0.elapsed().as_secs_f64();
+        let bytes = fetch.decode?.compressed_bytes;
+        gbps.push(bytes as f64 / 1e9 / wall);
+    }
+    gbps.sort_by(f64::total_cmp);
     std::fs::remove_dir_all(&dir).ok();
-    gbps
+    Some(StoreFetch {
+        tensors: entries.len(),
+        gbps,
+        raw_bytes: entries.iter().map(|t| t.raw_len).sum(),
+        stored_bytes: entries.iter().map(|t| t.comp_len).sum(),
+        huffman_bytes,
+    })
 }
 
 /// Hand-rolled JSON (no serde dependency in this crate): one object per
-/// measurement plus the store-level figure.
+/// measurement plus the store-level figures.
 fn write_json(
     measurements: &[Measurement],
-    store_gbps: Option<f64>,
+    store: Option<&StoreFetch>,
     corpus_bytes: usize,
     dir: &std::path::Path,
 ) -> std::io::Result<String> {
@@ -209,7 +263,10 @@ fn write_json(
     let mut json = String::from("{\n");
     json.push_str(&json_provenance(
         "bench-lossless",
-        &[("corpus_bytes", corpus_bytes.to_string())],
+        &[
+            ("corpus_bytes", corpus_bytes.to_string()),
+            ("store_fetch_runs", STORE_FETCH_RUNS.to_string()),
+        ],
     ));
     json.push_str("  \"corpus_bytes\": ");
     json.push_str(&corpus_bytes.to_string());
@@ -224,9 +281,23 @@ fn write_json(
             if i + 1 == measurements.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n  \"store_fetch_decoded_gbps\": ");
-    match store_gbps {
-        Some(g) => json.push_str(&format!("{g:.4}\n")),
+    json.push_str("  ],\n  \"store_fetch\": ");
+    match store {
+        Some(f) => json.push_str(&format!(
+            "{{\"tensors\": {}, \"raw_bytes\": {}, \"stored_bytes\": {}, \"huffman_bytes\": {}, \
+             \"stored_over_raw\": {:.4}, \"gbps_median\": {:.4}, \"gbps_p25\": {:.4}, \
+             \"gbps_p75\": {:.4}, \"gbps_min\": {:.4}, \"gbps_max\": {:.4}}}\n",
+            f.tensors,
+            f.raw_bytes,
+            f.stored_bytes,
+            f.huffman_bytes,
+            f.stored_bytes as f64 / f.raw_bytes as f64,
+            f.quantile(0.5),
+            f.quantile(0.25),
+            f.quantile(0.75),
+            f.quantile(0.0),
+            f.quantile(1.0),
+        )),
         None => json.push_str("null\n"),
     }
     json.push_str("}\n");

@@ -3,9 +3,13 @@
 //! `bench-smoke` measures one representative number from each
 //! performance-critical subsystem:
 //!
-//! * `decode_mb_s` — single-threaded LUT decode throughput on the shared
-//!   packed-delta corpus (wall-clock; the baseline bound is generous to
-//!   absorb runner variance),
+//! * `decode_mb_s` — LUT decode throughput on the shared packed-delta
+//!   corpus (wall-clock; the baseline bound is generous to absorb runner
+//!   variance),
+//! * `store_fetch_gbps` — median payload GB/s of cold `fetch_decoded`
+//!   calls on a `cold-zoo`-shaped artifact (wall-clock; its floor sits
+//!   well above what Huffman pages reach, so a writer that falls back to
+//!   entropy coding fails the gate),
 //! * `cluster_p99_e2e_s` — placement-aware cluster p99 on a fixed-seed
 //!   trace (simulated time: bit-for-bit deterministic),
 //! * `swap_overlap_frac`, `swap_warm_ttft_p99_s`, `swap_stall_ratio` —
@@ -35,7 +39,7 @@
 //! CI perf gate.
 
 use super::cluster::run_cluster_traced;
-use super::codec::packed_delta_like;
+use super::codec::{measure_store_fetch, packed_delta_like};
 use super::swap::{run_swap, run_swap_traced, warm_ttft_p99};
 use super::toppings::{goodput, run_toppings_traced};
 use super::{json_provenance, md_table, Report, BENCH_SCHEMA_VERSION};
@@ -91,17 +95,18 @@ pub fn measure() -> SmokeMetrics {
 /// instrumentation is a no-op on the metrics path — pinned by a test in
 /// `dz-serve`).
 pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
-    // 1. Decode throughput: 2 MiB packed-delta corpus, LUT single-thread,
-    //    best of 3.
+    // 1. Decode throughput: 2 MiB packed-delta corpus, LUT, best of 3.
     let corpus = packed_delta_like(2 << 20, 7);
     let compressed = dz_lossless::compress(&corpus);
     let mut best = f64::MAX;
     for _ in 0..3 {
         let t0 = Instant::now();
-        dz_lossless::decompress_with_threads(&compressed, 1).expect("decode");
+        dz_lossless::decompress(&compressed).expect("decode");
         best = best.min(t0.elapsed().as_secs_f64());
     }
     let decode_mb_s = corpus.len() as f64 / best / 1e6;
+    // Cold store fetches of a cold-zoo-shaped artifact, median of 10.
+    let store_fetch_gbps = measure_store_fetch().map_or(0.0, |f| f.quantile(0.5));
 
     // 2. Cluster tail latency: one placement-aware cell, fixed seed.
     let trace_cfg = trace.as_ref().map(|_| TraceConfig::default());
@@ -169,6 +174,7 @@ pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     SmokeMetrics {
         entries: vec![
             ("decode_mb_s", decode_mb_s),
+            ("store_fetch_gbps", store_fetch_gbps),
             ("cluster_p99_e2e_s", cluster_p99),
             ("swap_overlap_frac", swap_overlap_frac),
             ("swap_warm_ttft_p99_s", swap_warm_ttft),
@@ -217,6 +223,10 @@ fn write_json(metrics: &SmokeMetrics, dir: &Path) -> std::io::Result<String> {
         "bench-smoke",
         &[
             ("corpus_bytes", (2u64 << 20).to_string()),
+            (
+                "store_fetch",
+                "\"cold-zoo-shaped artifact, median of 10\"".into(),
+            ),
             ("cluster", "\"placement-aware x2, zipf-1.5, 40s\"".into()),
             ("swap", "\"overlapped vs serialized, 40s\"".into()),
             (

@@ -65,7 +65,11 @@ pub struct SizeReport {
     pub uncompressed_rest_bytes: usize,
     /// FP16 bytes of the full model.
     pub full_fp16_bytes: usize,
-    /// Bytes after the optional lossless stage (packed linears only).
+    /// Bytes after the optional lossless stage (packed linears only),
+    /// as `dz_lossless::compress` codes them: the paper's figure for
+    /// GDeflate, which decodes on the GPU. It is not what a `.dza`
+    /// artifact holds — the store writes pages stored, because on a CPU
+    /// the decode costs more time than the bytes it saves.
     pub lossless_linear_bytes: Option<usize>,
 }
 

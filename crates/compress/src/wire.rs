@@ -113,6 +113,17 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads `n` little-endian 4-byte values in bulk: one length check,
+    /// then one conversion pass over the bytes.
+    fn array4<T>(&mut self, n: usize, from_le: impl Fn([u8; 4]) -> T) -> Result<Vec<T>, WireError> {
+        self.check_payload(n, 4)?;
+        let bytes = self.take(n * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| from_le([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.bytes.len() {
@@ -234,11 +245,7 @@ fn decode_matrix_body(
         Some(want) if want == n_qwords => {}
         _ => return Err(WireError::LengthMismatch("qweight words")),
     }
-    r.check_payload(n_qwords, 4)?;
-    let mut qweight = Vec::with_capacity(n_qwords);
-    for _ in 0..n_qwords {
-        qweight.push(r.u32()?);
-    }
+    let qweight = r.array4(n_qwords, u32::from_le_bytes)?;
     let n_index = r.len_u64()?;
     let want_index = match format {
         MatrixFormat::QuantDense => 0,
@@ -247,11 +254,7 @@ fn decode_matrix_body(
     if n_index != want_index {
         return Err(WireError::LengthMismatch("index bytes"));
     }
-    r.check_payload(n_index, 1)?;
-    let mut indices = vec![0u8; n_index];
-    for b in indices.iter_mut() {
-        *b = r.u8()?;
-    }
+    let indices = r.take(n_index)?.to_vec();
     let n_scales = r.len_u64()?;
     if n_scales
         != d_out
@@ -260,11 +263,7 @@ fn decode_matrix_body(
     {
         return Err(WireError::LengthMismatch("scales"));
     }
-    r.check_payload(n_scales, 4)?;
-    let mut scales = Vec::with_capacity(n_scales);
-    for _ in 0..n_scales {
-        scales.push(r.f32()?);
-    }
+    let scales = r.array4(n_scales, f32::from_le_bytes)?;
     Ok(CompressedMatrix {
         d_in,
         d_out,
@@ -312,11 +311,7 @@ fn decode_sign_body(r: &mut Reader<'_>) -> Result<SignMatrix, WireError> {
     if n_words != want_words {
         return Err(WireError::LengthMismatch("sign words"));
     }
-    r.check_payload(n_words, 4)?;
-    let mut signs = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        signs.push(r.u32()?);
-    }
+    let signs = r.array4(n_words, u32::from_le_bytes)?;
     let n_scales = r.len_u64()?;
     let want_scales = match scope {
         SignScope::PerMatrix => 1,
@@ -325,11 +320,7 @@ fn decode_sign_body(r: &mut Reader<'_>) -> Result<SignMatrix, WireError> {
     if n_scales != want_scales {
         return Err(WireError::LengthMismatch("sign scales"));
     }
-    r.check_payload(n_scales, 4)?;
-    let mut scales = Vec::with_capacity(n_scales);
-    for _ in 0..n_scales {
-        scales.push(r.f32()?);
-    }
+    let scales = r.array4(n_scales, f32::from_le_bytes)?;
     Ok(SignMatrix {
         d_in,
         d_out,
@@ -424,11 +415,7 @@ pub fn decode_dense(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
     let n = rows
         .checked_mul(cols)
         .ok_or(WireError::LengthMismatch("dense matrix size"))?;
-    r.check_payload(n, 4)?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(r.f32()?);
-    }
+    let data = r.array4(n, f32::from_le_bytes)?;
     Ok(Matrix::from_vec(rows, cols, data))
 }
 

@@ -11,7 +11,7 @@
 //! | `hash-iter` | iterating `HashMap` / `HashSet` | sim-state crates (serve, store, gpusim, workload, trace) |
 //! | `float-eq` | `==` / `!=` against float literals | sim-state crates |
 //! | `unwrap-budget` | `.unwrap()` / `.expect()` / `panic!` growth | all library code, vs `ci/unwrap-budget.json` |
-//! | `thread-spawn` | `thread::spawn` / `thread::scope` | everywhere except the decode modules |
+//! | `thread-spawn` | `thread::spawn` / `thread::scope` | all library code |
 //! | `bench-provenance` | writing `BENCH_*.json` without `json_provenance` | all library code |
 //!
 //! Any individual site can be suppressed with
@@ -37,9 +37,6 @@ pub const SIM_STATE_CRATES: &[&str] = &["serve", "store", "gpusim", "workload", 
 /// The one crate allowed to read wall clocks freely: the bench harness
 /// measures real time by design.
 pub const WALL_CLOCK_CRATES: &[&str] = &["bench"];
-
-/// Decode modules allowed to spawn threads (scoped page/tensor fan-out).
-pub const THREAD_FILES: &[&str] = &["crates/lossless/src/page.rs", "crates/store/src/dza.rs"];
 
 /// Where a file sits in the workspace, for rule scoping.
 #[derive(Debug, Clone)]
@@ -88,7 +85,7 @@ pub fn check_file(lexed: &LexedFile, meta: &FileMeta) -> (Vec<RawFinding>, Vec<U
     wall_clock(lexed, meta, &exempt, &mut findings);
     hash_iter(lexed, meta, &exempt, &mut findings);
     float_eq(lexed, meta, &exempt, &mut findings);
-    thread_spawn(lexed, meta, &exempt, &mut findings);
+    thread_spawn(lexed, &exempt, &mut findings);
     bench_provenance(lexed, meta, &exempt, &mut findings);
     unwrap_sites(lexed, &exempt, &mut unwraps);
     (findings, unwraps)
@@ -455,15 +452,7 @@ fn float_eq(
 // thread-spawn
 // ---------------------------------------------------------------------------
 
-fn thread_spawn(
-    lexed: &LexedFile,
-    meta: &FileMeta,
-    exempt: &dyn Fn(usize) -> bool,
-    out: &mut Vec<RawFinding>,
-) {
-    if THREAD_FILES.contains(&meta.rel_path.as_str()) {
-        return;
-    }
+fn thread_spawn(lexed: &LexedFile, exempt: &dyn Fn(usize) -> bool, out: &mut Vec<RawFinding>) {
     let code = &lexed.code;
     let bytes = code.as_bytes();
     for i in word_positions(code, "thread") {
@@ -485,9 +474,8 @@ fn thread_spawn(
                 rule: "thread-spawn",
                 line,
                 message: format!(
-                    "`thread::{which}` outside the allowlisted decode modules \
-                     ({}) — thread scheduling must never touch simulation state",
-                    THREAD_FILES.join(", ")
+                    "`thread::{which}` without a justification — thread \
+                     scheduling must never touch simulation state"
                 ),
             });
         }

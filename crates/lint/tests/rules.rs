@@ -152,12 +152,18 @@ fn thread_spawn_positive() {
 }
 
 #[test]
-fn thread_spawn_allowlisted_file_is_fine() {
-    let (f, _) = lint_source(
-        "pub fn f() { std::thread::scope(|_s| {}); }",
-        &meta("crates/lossless/src/page.rs", "lossless"),
-    );
-    assert!(f.is_empty(), "{f:?}");
+fn thread_spawn_in_decode_modules_is_flagged() {
+    // The decode modules decode serially; no file is exempt.
+    for (path, krate) in [
+        ("crates/lossless/src/page.rs", "lossless"),
+        ("crates/store/src/dza.rs", "store"),
+    ] {
+        let (f, _) = lint_source(
+            "pub fn f() { std::thread::scope(|_s| {}); }",
+            &meta(path, krate),
+        );
+        assert_eq!(rules_of(&f), ["thread-spawn"], "{path}");
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!   package-merge algorithm,
 //! * [`bitio`] — LSB-first bit reader/writer,
 //! * [`page`] — the paged container: each page compresses independently and
-//!   records its compressed size, so pages can be decoded in parallel.
+//!   records its compressed size and mode (Huffman or stored).
 //!
 //! The container format is custom (simpler than RFC 1951 — code lengths are
 //! stored verbatim rather than RLE-encoded) but the algorithmic content is
@@ -23,11 +23,14 @@
 //! Decoding is built for throughput: a word-filling bit reader
 //! (`peek`/`consume`, no per-bit branching), a two-level lookup-table
 //! Huffman decoder ([`huffman::LutDecoder`]; single probe for codes up to
-//! [`huffman::LUT_BITS`] bits), slicing-by-16 CRC32, and [`decompress`]
-//! fans independent pages out across scoped threads once the stream is
-//! large enough to amortize spawns. The original serial tree-walk path is
-//! retained as [`decompress_reference`] and property-tested against the
-//! fast path.
+//! [`huffman::LUT_BITS`] bits) and slicing-by-16 CRC32, one page after
+//! another on the calling thread. [`store`] writes the same container with
+//! every page stored, which [`decode`] checks and hands back in place. The
+//! original serial tree-walk path is retained as [`decompress_reference`]
+//! and property-tested against the fast path.
+//!
+//! Every length field is untrusted: the parser bounds the declared raw
+//! length by what the page table can produce before it allocates.
 //!
 //! # Examples
 //!
@@ -46,8 +49,8 @@ pub mod lz77;
 pub mod page;
 
 pub use page::{
-    compress, compress_with_page_size, decompress, decompress_reference, decompress_with_threads,
-    CodecError, DEFAULT_PAGE_SIZE,
+    compress, compress_with_page_size, decode, decompress, decompress_reference, store, CodecError,
+    DEFAULT_PAGE_SIZE,
 };
 
 /// Compression statistics for reporting.

@@ -3,32 +3,31 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "DZLC" | version u8 | page_size u32 | raw_len u64 | n_pages u32
+//! magic "DZLC" | version u8 | page_size u32 | raw_len u64 | crc32 u32 | n_pages u32
 //! page table: n_pages x { comp_len u32, mode u8 }
 //! page payloads, back to back
 //! ```
 //!
-//! Each page compresses `page_size` raw bytes independently (the last page
-//! may be shorter). A page is stored raw (`mode = 1`) when entropy coding
-//! would not help, mirroring DEFLATE's stored blocks. Independent pages are
-//! what makes GDeflate GPU-friendly: a decompression engine assigns one page
-//! per thread block. Here they let `decompress` be trivially parallelizable
-//! and bound the memory of the matcher.
+//! Each page covers `page_size` raw bytes independently (the last page
+//! may be shorter). A page is Huffman-coded (`mode = 0`) or stored raw
+//! (`mode = 1`), mirroring DEFLATE's stored blocks. Independent pages are
+//! what makes GDeflate GPU-friendly: a decompression engine assigns one
+//! page per thread block. Here they bound the memory of the matcher, and
+//! a stream whose pages are all stored decodes by borrowing its payload
+//! region in place ([`decode`]).
+//!
+//! [`compress`] entropy-codes every page and keeps the Huffman payload
+//! when it is smaller; [`store`] writes every page stored. Both produce
+//! the same container, and every reader accepts both.
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::crc::crc32;
 use crate::huffman::{code_lengths, DecodeError, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
 use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH};
+use std::borrow::Cow;
 
 /// Default page size (64 KiB, as GDeflate uses).
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
-
-/// Minimum raw bytes before page decoding goes multi-threaded; below this
-/// the thread spawn cost outweighs the decode work (same reasoning as the
-/// FLOP threshold in `dz-tensor`'s parallel GEMM).
-const PARALLEL_BYTE_THRESHOLD: usize = 256 * 1024;
-
-/// Maximum number of worker threads used by the parallel decode path.
-const MAX_DECODE_THREADS: usize = 8;
 
 const MAGIC: &[u8; 4] = b"DZLC";
 const VERSION: u8 = 2;
@@ -407,25 +406,16 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     compress_with_page_size(data, DEFAULT_PAGE_SIZE)
 }
 
-/// Compresses `data` with an explicit page size.
+/// Compresses `data` with an explicit page size. Each page keeps its
+/// Huffman payload only when it is smaller than the raw page.
 ///
 /// # Panics
 ///
 /// Panics if `page_size == 0`.
 pub fn compress_with_page_size(data: &[u8], page_size: usize) -> Vec<u8> {
     assert!(page_size > 0, "page size must be positive");
-    let n_pages = data.len().div_ceil(page_size);
-    let mut pages = Vec::with_capacity(n_pages);
-    for chunk in data.chunks(page_size) {
-        pages.push(compress_page(chunk));
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(page_size as u32).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crate::crc::crc32(data).to_le_bytes());
-    out.extend_from_slice(&(n_pages as u32).to_le_bytes());
+    let pages: Vec<(u8, Vec<u8>)> = data.chunks(page_size).map(compress_page).collect();
+    let mut out = container_head(data, page_size);
     for (mode, payload) in &pages {
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.push(*mode);
@@ -436,6 +426,33 @@ pub fn compress_with_page_size(data: &[u8], page_size: usize) -> Vec<u8> {
     out
 }
 
+/// Wraps `data` in the container with every page stored: no LZ77, no
+/// Huffman. The output reads back through [`decompress`] and [`decode`]
+/// like any other stream, and [`decode`] borrows its payload in place.
+pub fn store(data: &[u8]) -> Vec<u8> {
+    let page_size = DEFAULT_PAGE_SIZE;
+    let mut out = container_head(data, page_size);
+    out.reserve(data.len().div_ceil(page_size) * 5 + data.len());
+    for chunk in data.chunks(page_size) {
+        out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+        out.push(MODE_STORED);
+    }
+    out.extend_from_slice(data);
+    out
+}
+
+/// The container header up to and including the page count.
+fn container_head(data: &[u8], page_size: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&(page_size as u32).to_le_bytes());
+    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&crc32(data).to_le_bytes());
+    out.extend_from_slice(&(data.len().div_ceil(page_size) as u32).to_le_bytes());
+    out
+}
+
 /// A parsed container: header fields plus per-page payload slices.
 struct ParsedStream<'a> {
     page_size: usize,
@@ -443,18 +460,28 @@ struct ParsedStream<'a> {
     stored_crc: u32,
     /// `(payload, mode)` per page, in order.
     pages: Vec<(&'a [u8], u8)>,
+    /// Every page payload, back to back: the raw bytes themselves when
+    /// every page is stored.
+    body: &'a [u8],
 }
 
+/// Parses the header and page table. Every length is checked against
+/// what the stream can back before anything is allocated from it: the
+/// page table must fit the input, and each page's share of `raw_len` must
+/// be producible from its payload — a stored page yields exactly its
+/// payload length, a Huffman page at most `MAX_MATCH` bytes per two
+/// payload bits (a match costs at least one length and one distance bit).
 fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-        if *pos + n > stream.len() {
+        if n > stream.len() - *pos {
             return Err(CodecError::Truncated);
         }
         let s = &stream[*pos..*pos + n];
         *pos += n;
         Ok(s)
     };
+    let le_u32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     if take(&mut pos, 4)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -462,24 +489,41 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let page_size = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let raw_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let n_pages = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+    let page_size = le_u32(take(&mut pos, 4)?) as usize;
+    let mut raw_len = [0u8; 8];
+    raw_len.copy_from_slice(take(&mut pos, 8)?);
+    let raw_len = usize::try_from(u64::from_le_bytes(raw_len))
+        .map_err(|_| CodecError::Corrupt("raw length exceeds usize"))?;
+    let stored_crc = le_u32(take(&mut pos, 4)?);
+    let n_pages = le_u32(take(&mut pos, 4)?) as usize;
     if page_size == 0 && raw_len > 0 {
         return Err(CodecError::Corrupt("zero page size"));
     }
     if n_pages != raw_len.div_ceil(page_size.max(1)) {
         return Err(CodecError::Corrupt("page count mismatch"));
     }
-    let mut table = Vec::with_capacity(n_pages);
-    for _ in 0..n_pages {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mode = take(&mut pos, 1)?[0];
-        table.push((len, mode));
-    }
+    let table = take(
+        &mut pos,
+        n_pages.checked_mul(5).ok_or(CodecError::Truncated)?,
+    )?;
+    let body_start = pos;
     let mut pages = Vec::with_capacity(n_pages);
-    for (len, mode) in table {
+    let mut left = raw_len;
+    for entry in table.chunks_exact(5) {
+        let (len, mode) = (le_u32(entry) as usize, entry[4]);
+        let page_raw = left.min(page_size);
+        left -= page_raw;
+        let producible = match mode {
+            MODE_STORED if len != page_raw => {
+                return Err(CodecError::Corrupt("stored page length mismatch"))
+            }
+            MODE_STORED => len,
+            MODE_HUFFMAN => len.saturating_mul(4 * MAX_MATCH),
+            _ => return Err(CodecError::Corrupt("unknown page mode")),
+        };
+        if page_raw > producible {
+            return Err(CodecError::Corrupt("page raw length exceeds its payload"));
+        }
         pages.push((take(&mut pos, len)?, mode));
     }
     Ok(ParsedStream {
@@ -487,83 +531,43 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
         raw_len,
         stored_crc,
         pages,
+        body: &stream[body_start..pos],
     })
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decodes a stream produced by [`compress`] or [`store`] and checks it
+/// against the header CRC. Returns the raw bytes — borrowed from `stream`
+/// when every page is stored, so an all-stored stream costs one CRC pass
+/// and no copy — together with their CRC32, which callers holding a CRC
+/// of their own can compare without hashing the bytes again.
 ///
-/// This is the fast path: LUT Huffman decoding per page, and pages fanned
-/// out across scoped threads once the stream is large enough to amortize
-/// spawn costs (pages carry independent Huffman tables, so decoding them
-/// concurrently is exactly the parallelism the page format was designed
-/// for).
-pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decompress_with_threads(stream, MAX_DECODE_THREADS)
-}
-
-/// Decompresses with an explicit worker-thread cap (`1` forces the
-/// single-threaded LUT path; the cap is further limited by the page count
-/// and the machine's available parallelism).
-pub fn decompress_with_threads(stream: &[u8], max_threads: usize) -> Result<Vec<u8>, CodecError> {
+/// Pages decode serially through the LUT Huffman decoder.
+pub fn decode(stream: &[u8]) -> Result<(Cow<'_, [u8]>, u32), CodecError> {
     let parsed = parse_stream(stream)?;
-    let mut out = vec![0u8; parsed.raw_len];
-    let threads = if parsed.raw_len >= PARALLEL_BYTE_THRESHOLD {
-        max_threads
-            .max(1)
-            .min(parsed.pages.len())
-            .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
+    let raw = if parsed.pages.iter().all(|&(_, mode)| mode == MODE_STORED) {
+        Cow::Borrowed(parsed.body)
     } else {
-        1
-    };
-    if threads <= 1 {
-        if parsed.raw_len > 0 {
-            for ((payload, mode), chunk) in parsed
-                .pages
-                .iter()
-                .zip(out.chunks_mut(parsed.page_size.max(1)))
-            {
-                decompress_page_into(payload, *mode, chunk)?;
-            }
-        }
-    } else {
-        // One decode job per page: payload, mode, destination chunk.
-        type PageJob<'p, 'o> = (&'p [u8], u8, &'o mut [u8]);
-        let mut jobs: Vec<PageJob<'_, '_>> = parsed
+        let mut out = vec![0u8; parsed.raw_len];
+        for ((payload, mode), chunk) in parsed
             .pages
             .iter()
-            .zip(out.chunks_mut(parsed.page_size))
-            .map(|(&(payload, mode), chunk)| (payload, mode, chunk))
-            .collect();
-        let per_thread = jobs.len().div_ceil(threads);
-        let mut groups: Vec<Vec<PageJob<'_, '_>>> = Vec::with_capacity(threads);
-        while !jobs.is_empty() {
-            let n = per_thread.min(jobs.len());
-            groups.push(jobs.drain(..n).collect());
+            .zip(out.chunks_mut(parsed.page_size.max(1)))
+        {
+            decompress_page_into(payload, *mode, chunk)?;
         }
-        std::thread::scope(|scope| -> Result<(), CodecError> {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || -> Result<(), CodecError> {
-                        for (payload, mode, chunk) in group {
-                            decompress_page_into(payload, mode, chunk)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            // First failing group (lowest page range) wins, matching the
-            // serial path's error order.
-            for h in handles {
-                h.join().expect("page decode worker panicked")?;
-            }
-            Ok(())
-        })?;
-    }
-    if crate::crc::crc32(&out) != parsed.stored_crc {
+        Cow::Owned(out)
+    };
+    let crc = crc32(&raw);
+    if crc != parsed.stored_crc {
         return Err(CodecError::ChecksumMismatch);
     }
-    Ok(out)
+    Ok((raw, crc))
+}
+
+/// Decompresses a stream produced by [`compress`] or [`store`] into an
+/// owned buffer: [`decode`] without the borrow.
+pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decode(stream).map(|(raw, _)| raw.into_owned())
 }
 
 /// Decompresses through the retained serial reference path (bit-at-a-time
@@ -653,27 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_crosses_thread_threshold() {
-        // Enough pages and raw bytes to actually fan out, with mixed
-        // Huffman and stored pages.
-        let mut data = b"multi page parallel decode ".repeat(40_000);
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        data.extend((0..PARALLEL_BYTE_THRESHOLD).map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x >> 32) as u8
-        }));
-        assert!(data.len() > PARALLEL_BYTE_THRESHOLD * 2);
-        let c = compress(&data);
-        assert_eq!(decompress(&c).unwrap(), data);
-        assert_eq!(decompress_with_threads(&c, 1).unwrap(), data);
-        assert_eq!(decompress_with_threads(&c, 3).unwrap(), data);
-        assert_eq!(decompress_reference(&c).unwrap(), data);
-    }
-
-    #[test]
-    fn parallel_decode_rejects_corruption_like_serial() {
+    fn fast_decode_rejects_corruption_like_reference() {
         let data = b"corruption must never pass ".repeat(40_000);
         let c = compress(&data);
         for pos in [8, c.len() / 2, c.len() - 3] {
@@ -692,6 +676,110 @@ mod tests {
                 (f, s) => panic!("fast {f:?} vs reference {s:?} at byte {pos}"),
             }
         }
+    }
+
+    #[test]
+    fn stored_streams_decode_borrowed_and_match_compress() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut data = b"stored pages read in place ".repeat(5_000);
+        data.extend((0..DEFAULT_PAGE_SIZE).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        }));
+        let stored = store(&data);
+        assert_eq!(
+            stored.len(),
+            data.len() + 25 + 5 * data.len().div_ceil(DEFAULT_PAGE_SIZE)
+        );
+        let (raw, crc) = decode(&stored).unwrap();
+        assert!(matches!(raw, Cow::Borrowed(_)));
+        assert_eq!(&*raw, &data[..]);
+        assert_eq!(crc, crc32(&data));
+        assert_eq!(decompress_reference(&stored).unwrap(), data);
+        // The compressed container holds Huffman and stored pages and
+        // decodes to the same bytes and CRC, owned.
+        let compressed = compress(&data);
+        assert!(compressed.len() < stored.len());
+        let (raw, crc2) = decode(&compressed).unwrap();
+        assert!(matches!(raw, Cow::Owned(_)));
+        assert_eq!(&*raw, &data[..]);
+        assert_eq!(crc2, crc);
+        assert_eq!(store(b""), compress(b""));
+        assert_eq!(decompress(&store(b"")).unwrap(), b"");
+    }
+
+    #[test]
+    fn stored_page_corruption_is_caught_by_the_crc() {
+        let data = b"a stored page is checked like any other".repeat(100);
+        let mut bad = store(&data);
+        let last = bad.len() - 1;
+        bad[last] ^= 1;
+        assert_eq!(decode(&bad).map(|_| ()), Err(CodecError::ChecksumMismatch));
+        assert_eq!(
+            decompress_reference(&bad),
+            Err(CodecError::ChecksumMismatch)
+        );
+    }
+
+    /// A header that declares far more raw bytes than its pages can hold:
+    /// `page_size = u32::MAX`, `raw_len = 2^40`, and the 257 pages that
+    /// page count implies, each stored and empty (1,310 bytes in all).
+    fn oversized_raw_len_stream() -> Vec<u8> {
+        let raw_len = 1u64 << 40;
+        let n_pages = raw_len.div_ceil(u32::MAX as u64) as u32;
+        let mut s = Vec::new();
+        s.extend_from_slice(MAGIC);
+        s.push(VERSION);
+        s.extend_from_slice(&u32::MAX.to_le_bytes());
+        s.extend_from_slice(&raw_len.to_le_bytes());
+        s.extend_from_slice(&0u32.to_le_bytes());
+        s.extend_from_slice(&n_pages.to_le_bytes());
+        for _ in 0..n_pages {
+            s.extend_from_slice(&0u32.to_le_bytes());
+            s.push(MODE_STORED);
+        }
+        s
+    }
+
+    #[test]
+    fn raw_len_beyond_the_page_table_is_refused_before_allocating() {
+        let s = oversized_raw_len_stream();
+        assert_eq!(s.len(), 1_310);
+        // Before the page-table bound this allocated 1 TiB and aborted.
+        assert!(matches!(decompress(&s), Err(CodecError::Corrupt(_))));
+        assert!(matches!(
+            decompress_reference(&s),
+            Err(CodecError::Corrupt(_))
+        ));
+        // A Huffman page claiming more than MAX_MATCH bytes per two
+        // payload bits is refused the same way.
+        let mut h = Vec::new();
+        h.extend_from_slice(MAGIC);
+        h.push(VERSION);
+        h.extend_from_slice(&u32::MAX.to_le_bytes());
+        h.extend_from_slice(&(u32::MAX as u64).to_le_bytes());
+        h.extend_from_slice(&0u32.to_le_bytes());
+        h.extend_from_slice(&1u32.to_le_bytes());
+        h.extend_from_slice(&4u32.to_le_bytes());
+        h.push(MODE_HUFFMAN);
+        h.extend_from_slice(&[0xFF; 4]);
+        assert_eq!(
+            decompress(&h),
+            Err(CodecError::Corrupt("page raw length exceeds its payload"))
+        );
+        assert!(matches!(
+            decompress_reference(&h),
+            Err(CodecError::Corrupt(_))
+        ));
+        // A page count whose table cannot fit the input is refused
+        // before the table is allocated.
+        let mut t = h[..21].to_vec();
+        t.extend_from_slice(&u32::MAX.to_le_bytes());
+        t[5..9].copy_from_slice(&1u32.to_le_bytes());
+        t[9..17].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+        assert_eq!(decompress(&t), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests: the codec must be the identity on arbitrary bytes,
-//! and the fast decode pipeline (LUT Huffman, parallel pages) must be
-//! indistinguishable from the retained serial reference path.
+//! and the fast decode path (LUT Huffman) must be indistinguishable from
+//! the retained serial reference path.
 
 use dz_lossless::bitio::{BitReader, BitWriter};
 use dz_lossless::huffman::{code_lengths, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
@@ -44,6 +44,15 @@ proptest! {
     }
 
     #[test]
+    fn stored_round_trip_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..150_000)) {
+        let s = dz_lossless::store(&data);
+        let (raw, crc) = dz_lossless::decode(&s).unwrap();
+        prop_assert_eq!(crc, dz_lossless::crc::crc32(&data));
+        prop_assert_eq!(&*raw, &data[..]);
+        prop_assert_eq!(dz_lossless::decompress_reference(&s).unwrap(), data);
+    }
+
+    #[test]
     fn truncation_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2_000), cut in 0usize..2_000) {
         let c = dz_lossless::compress(&data);
         let cut = cut.min(c.len());
@@ -57,15 +66,14 @@ proptest! {
     }
 
     #[test]
-    fn parallel_decode_is_byte_identical_to_serial_reference(
+    fn lut_decode_is_byte_identical_to_serial_reference(
         data in proptest::collection::vec(any::<u8>(), 0..60_000),
         page in 1usize..2_048,
-        threads in 1usize..6,
     ) {
-        // The fast path (LUT decoder, optional page fan-out) and the
-        // retained tree-walk reference must agree byte for byte.
+        // The fast path (LUT decoder) and the retained tree-walk reference
+        // must agree byte for byte.
         let c = dz_lossless::compress_with_page_size(&data, page);
-        let fast = dz_lossless::decompress_with_threads(&c, threads).unwrap();
+        let fast = dz_lossless::decompress(&c).unwrap();
         let slow = dz_lossless::decompress_reference(&c).unwrap();
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(fast, data);
@@ -88,6 +96,27 @@ proptest! {
         let fast = dz_lossless::decompress(&corrupted);
         let slow = dz_lossless::decompress_reference(&corrupted);
         match (fast, slow) {
+            (Ok(f), Ok(s)) => {
+                prop_assert_eq!(&f, &data);
+                prop_assert_eq!(&s, &data);
+            }
+            (Err(_), Err(_)) => {}
+            (f, s) => prop_assert!(false, "fast {f:?} vs reference {s:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupted_stored_streams_never_diverge_or_pass_silently(
+        data in proptest::collection::vec(any::<u8>(), 1..8_000),
+        pos in any::<proptest::sample::Index>(),
+        flip in 1u8..=255,
+        cut in any::<proptest::sample::Index>(),
+    ) {
+        let mut corrupted = dz_lossless::store(&data);
+        let i = pos.index(corrupted.len());
+        corrupted[i] ^= flip;
+        corrupted.truncate(cut.index(corrupted.len() + 1));
+        match (dz_lossless::decompress(&corrupted), dz_lossless::decompress_reference(&corrupted)) {
             (Ok(f), Ok(s)) => {
                 prop_assert_eq!(&f, &data);
                 prop_assert_eq!(&s, &data);

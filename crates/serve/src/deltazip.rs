@@ -207,7 +207,7 @@ impl DeltaStoreBinding {
     }
 
     /// Measured decode throughput (compressed GB/s) across every load the
-    /// store's pipelined reader has timed; `None` before the first decode.
+    /// store's `.dza` reader has timed; `None` before the first decode.
     pub fn measured_decode_gbps(&self) -> Option<f64> {
         self.store.decode_throughput().effective_gbps()
     }

@@ -2,15 +2,15 @@
 //!
 //! A `.dza` file holds one compressed model delta: its lineage (the hash of
 //! the base model it patches), the quantization configuration that produced
-//! it, and every tensor as an independently readable, losslessly compressed
-//! page. All integers are little-endian.
+//! it, and every tensor as an independently readable page in the
+//! `dz-lossless` paged container. All integers are little-endian.
 //!
 //! ```text
 //! +--------------------------------------------------------------+
 //! | head:    magic "DZA1" | version u16                          |
 //! +--------------------------------------------------------------+
 //! | tensor pages, back to back                                   |
-//! |   each page = dz_lossless::compress(wire bytes of tensor)    |
+//! |   each page = dz_lossless::store(wire bytes of tensor)       |
 //! +--------------------------------------------------------------+
 //! | manifest: name | base_hash[32] | config | size report        |
 //! |           n_tensors u32                                      |
@@ -29,6 +29,25 @@
 //! checksum plus a manifest-recorded CRC32 of the raw bytes, so corruption
 //! anywhere — header, page, or directory — surfaces as a typed
 //! [`StoreError`], never as silently wrong weights.
+//!
+//! # Stored pages
+//!
+//! [`ArtifactWriter`] writes every page with the container's stored mode:
+//! no LZ77, no Huffman. Entropy coding pays for a page only when the
+//! bytes it saves take longer to read than the page takes to decode,
+//! `saved / disk_rate > raw / decode_rate`, that is when
+//! `saved / raw > disk_rate / decode_rate`. With a local disk at 7 GB/s
+//! (`FleetConfig::local_disk_gbps`; the page cache is faster still) and
+//! the LUT Huffman decoder at 0.32 GB/s, the right side is ~22: Huffman
+//! would have to save more than 100% of the page, and on packed deltas it
+//! saves ~5%. So there is no per-page rule and no setting. The paper's
+//! GDeflate decodes on the GPU, where the trade differs; its ratio is
+//! still reported as `SizeReport::lossless_linear_bytes`.
+//!
+//! Readers accept both page modes, so artifacts written with Huffman
+//! pages (and version-1 containers) still read to equal deltas.
+//! [`ArtifactReader::read_delta_with_stats`] reads the payload once and
+//! decodes every tensor in one serial pass.
 
 use crate::error::StoreError;
 use crate::hash::Digest;
@@ -37,19 +56,10 @@ use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
 use dz_compress::wire::{self, put_name, Reader as WireReader};
 use dz_lossless::crc::crc32;
 use dz_tensor::Matrix;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::time::Instant;
-
-/// Maximum decode worker threads for the pipelined tensor read path.
-const MAX_DECODE_WORKERS: usize = 8;
-/// Minimum total compressed bytes before the read path spawns workers;
-/// below this the spawn cost outweighs the decode work (mirrors the
-/// thread-split thresholds in `dz-tensor`'s GEMM and `dz-lossless`'s page
-/// decoder).
-const PIPELINE_BYTE_THRESHOLD: u64 = 128 * 1024;
 
 /// Leading container magic.
 pub const DZA_MAGIC: &[u8; 4] = b"DZA1";
@@ -279,7 +289,7 @@ impl<W: Write> ArtifactWriter<W> {
                 "duplicate tensor `{name}`"
             )));
         }
-        let page = dz_lossless::compress(raw);
+        let page = dz_lossless::store(raw);
         self.sink.write_all(&page)?;
         self.manifest.tensors.push(TensorEntry {
             name: name.to_string(),
@@ -351,9 +361,9 @@ pub fn write_delta<W: Write>(
     w.finish()
 }
 
-/// Measured statistics of one pipelined delta load.
+/// Measured statistics of one whole-delta load.
 ///
-/// `wall_s` spans the whole read+decode pipeline, so
+/// `wall_s` spans the read and the decode pass, so
 /// [`effective_gbps`](Self::effective_gbps) is the end-to-end rate at
 /// which compressed artifact bytes became usable tensors — the number the
 /// serving cost model consumes in place of its static deserialization
@@ -366,14 +376,12 @@ pub struct DecodeStats {
     pub compressed_bytes: u64,
     /// Decompressed wire bytes produced.
     pub raw_bytes: u64,
-    /// Wall time spent reading pages from the source (main thread).
+    /// Wall time spent reading the payload from the source.
     pub read_s: f64,
-    /// CPU time spent decoding, summed across workers.
+    /// Wall time spent checking and decoding the pages.
     pub decode_s: f64,
-    /// Wall time of the whole pipelined load.
+    /// Wall time of the whole load.
     pub wall_s: f64,
-    /// Decode worker threads used (1 = inline serial).
-    pub threads: usize,
 }
 
 impl DecodeStats {
@@ -384,8 +392,8 @@ impl DecodeStats {
             .then(|| self.compressed_bytes as f64 / 1e9 / self.wall_s)
     }
 
-    /// Decompression core rate: raw bytes produced per decode-CPU-second,
-    /// in GB/s (per-thread figure; independent of read overlap).
+    /// Decompression core rate: raw bytes produced per decode-second, in
+    /// GB/s (excludes the read).
     pub fn decode_core_gbps(&self) -> Option<f64> {
         (self.decode_s > 0.0 && self.raw_bytes > 0)
             .then(|| self.raw_bytes as f64 / 1e9 / self.decode_s)
@@ -399,7 +407,6 @@ impl DecodeStats {
         self.read_s += other.read_s;
         self.decode_s += other.decode_s;
         self.wall_s += other.wall_s;
-        self.threads = self.threads.max(other.threads);
     }
 }
 
@@ -409,35 +416,36 @@ enum DecodedTensor {
     Dense(Matrix),
 }
 
-/// Decompresses, CRC-checks, and wire-decodes one tensor page. Workers
-/// decode single-threaded (parallelism comes from tensor fan-out); the
-/// inline path lets the page codec fan out itself.
-fn decode_tensor(
-    entry: &TensorEntry,
-    page: &[u8],
-    single_thread: bool,
-) -> Result<DecodedTensor, StoreError> {
-    let raw = if single_thread {
-        dz_lossless::decompress_with_threads(page, 1)?
-    } else {
-        dz_lossless::decompress(page)?
-    };
-    if raw.len() as u64 != entry.raw_len || crc32(&raw) != entry.crc32 {
+/// Decodes one tensor page to its wire bytes — borrowed from `page` when
+/// the page is stored — and checks them: the CRC32 is computed once and
+/// compared with both the page header's and the manifest's.
+fn page_raw<'p>(entry: &TensorEntry, page: &'p [u8]) -> Result<Cow<'p, [u8]>, StoreError> {
+    let (raw, crc) = dz_lossless::decode(page)?;
+    if raw.len() as u64 != entry.raw_len || crc != entry.crc32 {
         return Err(StoreError::ChecksumMismatch {
             tensor: Some(entry.name.clone()),
         });
     }
-    match entry.kind {
-        TensorKind::PackedLinear => Ok(DecodedTensor::Packed(wire::layer_from_bytes(&raw)?)),
-        TensorKind::DenseRest => {
-            let mut r = WireReader::new(&raw);
-            let m = wire::decode_dense(&mut r)?;
-            if !r.is_done() {
-                return Err(StoreError::Corrupt("trailing bytes in dense tensor"));
-            }
-            Ok(DecodedTensor::Dense(m))
-        }
+    Ok(raw)
+}
+
+/// Wire-decodes a dense rest tensor that must span `raw` exactly.
+fn dense_from_bytes(raw: &[u8]) -> Result<Matrix, StoreError> {
+    let mut r = WireReader::new(raw);
+    let m = wire::decode_dense(&mut r)?;
+    if !r.is_done() {
+        return Err(StoreError::Corrupt("trailing bytes in dense tensor"));
     }
+    Ok(m)
+}
+
+/// Decodes, CRC-checks, and wire-decodes one tensor page.
+fn decode_tensor(entry: &TensorEntry, page: &[u8]) -> Result<DecodedTensor, StoreError> {
+    let raw = page_raw(entry, page)?;
+    Ok(match entry.kind {
+        TensorKind::PackedLinear => DecodedTensor::Packed(wire::layer_from_bytes(&raw)?),
+        TensorKind::DenseRest => DecodedTensor::Dense(dense_from_bytes(&raw)?),
+    })
 }
 
 /// Random-access `.dza` reader over any `Read + Seek` source.
@@ -502,54 +510,41 @@ impl<R: Read + Seek> ArtifactReader<R> {
         &self.manifest
     }
 
-    /// Reads and verifies one tensor's raw wire bytes.
-    pub fn read_tensor_bytes(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
+    /// Looks up `name` and reads its page bytes from the source.
+    fn read_page(&mut self, name: &str) -> Result<(&TensorEntry, Vec<u8>), StoreError> {
         let entry = self
             .manifest
             .entry(name)
-            .ok_or_else(|| StoreError::UnknownTensor(name.to_string()))?
-            .clone();
+            .ok_or_else(|| StoreError::UnknownTensor(name.to_string()))?;
         self.source.seek(SeekFrom::Start(entry.offset))?;
         let mut page = vec![0u8; entry.comp_len as usize];
         self.source.read_exact(&mut page)?;
-        let raw = dz_lossless::decompress(&page)?;
-        if raw.len() as u64 != entry.raw_len || crc32(&raw) != entry.crc32 {
-            return Err(StoreError::ChecksumMismatch {
-                tensor: Some(entry.name),
-            });
-        }
-        Ok(raw)
+        Ok((entry, page))
+    }
+
+    /// Reads and verifies one tensor's raw wire bytes (stored or Huffman
+    /// pages alike).
+    pub fn read_tensor_bytes(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
+        let (entry, page) = self.read_page(name)?;
+        Ok(page_raw(entry, &page)?.into_owned())
     }
 
     /// Reads one packed linear-layer delta (any method-zoo format).
     pub fn read_packed(&mut self, name: &str) -> Result<PackedLayer, StoreError> {
-        let entry = self
-            .manifest
-            .entry(name)
-            .ok_or_else(|| StoreError::UnknownTensor(name.to_string()))?;
+        let (entry, page) = self.read_page(name)?;
         if entry.kind != TensorKind::PackedLinear {
             return Err(StoreError::Corrupt("tensor is not a packed linear"));
         }
-        let raw = self.read_tensor_bytes(name)?;
-        Ok(wire::layer_from_bytes(&raw)?)
+        Ok(wire::layer_from_bytes(&page_raw(entry, &page)?)?)
     }
 
     /// Reads one dense FP32 rest tensor.
     pub fn read_dense(&mut self, name: &str) -> Result<Matrix, StoreError> {
-        let entry = self
-            .manifest
-            .entry(name)
-            .ok_or_else(|| StoreError::UnknownTensor(name.to_string()))?;
+        let (entry, page) = self.read_page(name)?;
         if entry.kind != TensorKind::DenseRest {
             return Err(StoreError::Corrupt("tensor is not a dense rest tensor"));
         }
-        let raw = self.read_tensor_bytes(name)?;
-        let mut r = WireReader::new(&raw);
-        let m = wire::decode_dense(&mut r)?;
-        if !r.is_done() {
-            return Err(StoreError::Corrupt("trailing bytes in dense tensor"));
-        }
-        Ok(m)
+        dense_from_bytes(&page_raw(entry, &page)?)
     }
 
     /// Reassembles the whole [`CompressedDelta`].
@@ -557,98 +552,56 @@ impl<R: Read + Seek> ArtifactReader<R> {
         self.read_delta_with_stats().map(|(delta, _)| delta)
     }
 
-    /// Reassembles the whole [`CompressedDelta`] through the pipelined
-    /// fast path, reporting measured decode throughput.
+    /// Reassembles the whole [`CompressedDelta`] in one serial pass,
+    /// reporting measured throughput.
     ///
-    /// Large artifacts decode tensors concurrently on a small worker pool
-    /// while the main thread streams the *next* tensor's compressed pages
-    /// from the source — so disk reads overlap decompression and the load
-    /// wait is `max(read, decode)` rather than their sum. Small artifacts
-    /// decode inline (the page codec may still fan pages out for a single
-    /// large tensor). Output is byte-identical to the serial per-tensor
-    /// path either way.
+    /// The payload extent (every tensor page, back to back) is read into
+    /// one buffer, then each tensor decodes from its slice of it. Stored
+    /// pages — what [`ArtifactWriter`] writes — are CRC-checked and
+    /// wire-decoded in place, so a load costs one read, one CRC pass and
+    /// the wire decode. Huffman pages from older writers decode through
+    /// the LUT decoder on the same pass. Errors surface in tensor order.
     pub fn read_delta_with_stats(&mut self) -> Result<(CompressedDelta, DecodeStats), StoreError> {
         // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
         let t_start = Instant::now();
-        let entries: &[TensorEntry] = &self.manifest.tensors;
-        let total_comp: u64 = entries.iter().map(|t| t.comp_len).sum();
-        let workers = if total_comp >= PIPELINE_BYTE_THRESHOLD && entries.len() >= 2 {
-            MAX_DECODE_WORKERS
-                .min(entries.len())
-                .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
-        } else {
-            0
-        };
-        let mut read_s = 0.0f64;
-        let decode_ns = AtomicU64::new(0);
-        let mut decoded: Vec<Option<Result<DecodedTensor, StoreError>>> =
-            (0..entries.len()).map(|_| None).collect();
+        let (start, end) = self.payload_extent();
+        self.source.seek(SeekFrom::Start(start))?;
+        let mut payload = vec![0u8; (end - start) as usize];
+        self.source.read_exact(&mut payload)?;
+        self.decode_payload(&payload, start, t_start)
+    }
 
-        if workers == 0 {
-            for (slot, entry) in decoded.iter_mut().zip(entries.iter()) {
-                // dz-lint: allow(wall-clock, "measures real disk-read time for DecodeStats")
-                let t0 = Instant::now();
-                self.source.seek(SeekFrom::Start(entry.offset))?;
-                let mut page = vec![0u8; entry.comp_len as usize];
-                self.source.read_exact(&mut page)?;
-                read_s += t0.elapsed().as_secs_f64();
-                // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
-                let t1 = Instant::now();
-                let result = decode_tensor(entry, &page, false);
-                decode_ns.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slot = Some(result);
-            }
-        } else {
-            let results: Mutex<Vec<(usize, Result<DecodedTensor, StoreError>)>> =
-                Mutex::new(Vec::with_capacity(entries.len()));
-            let source = &mut self.source;
-            std::thread::scope(|scope| -> Result<(), StoreError> {
-                // Bounded channel: at most ~one tensor in flight per worker,
-                // so the reader gets backpressure instead of buffering the
-                // whole artifact ahead of the decoders — that bound is what
-                // makes this a pipeline (read i+1 while decoding i) rather
-                // than a read-everything-then-decode pass.
-                let (tx, rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(workers);
-                let rx = Arc::new(Mutex::new(rx));
-                for _ in 0..workers {
-                    let rx = Arc::clone(&rx);
-                    let results = &results;
-                    let decode_ns = &decode_ns;
-                    scope.spawn(move || loop {
-                        let job = rx.lock().expect("rx lock").recv();
-                        let Ok((i, page)) = job else { break };
-                        // dz-lint: allow(wall-clock, "measures real worker decode time for DecodeStats")
-                        let t0 = Instant::now();
-                        let result = decode_tensor(&entries[i], &page, true);
-                        decode_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        results.lock().expect("results lock").push((i, result));
-                    });
-                }
-                // Main thread: stream tensor i+1's pages off the source
-                // while the workers are still decoding tensor i.
-                for (i, entry) in entries.iter().enumerate() {
-                    // dz-lint: allow(wall-clock, "measures real streaming-read time for DecodeStats")
-                    let t0 = Instant::now();
-                    source.seek(SeekFrom::Start(entry.offset))?;
-                    let mut page = vec![0u8; entry.comp_len as usize];
-                    source.read_exact(&mut page)?;
-                    read_s += t0.elapsed().as_secs_f64();
-                    tx.send((i, page)).expect("decode workers alive");
-                }
-                drop(tx);
-                Ok(())
-            })?;
-            for (i, result) in results.into_inner().expect("results lock") {
-                decoded[i] = Some(result);
-            }
-        }
+    /// The file range holding every tensor page. `open` checked each
+    /// extent against the file, so the range lies within it.
+    fn payload_extent(&self) -> (u64, u64) {
+        let entries = &self.manifest.tensors;
+        let start = entries.iter().map(|t| t.offset).min().unwrap_or(HEAD_LEN);
+        let end = entries
+            .iter()
+            .map(|t| t.offset + t.comp_len)
+            .max()
+            .unwrap_or(start);
+        (start, end)
+    }
 
+    /// Decodes every tensor from `payload`, the file's bytes from offset
+    /// `start` on; `t_start` is when the load began.
+    fn decode_payload(
+        &self,
+        payload: &[u8],
+        start: u64,
+        t_start: Instant,
+    ) -> Result<(CompressedDelta, DecodeStats), StoreError> {
+        let read_s = t_start.elapsed().as_secs_f64();
+        // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
+        let t_decode = Instant::now();
+        let entries = &self.manifest.tensors;
         let mut layers = BTreeMap::new();
         let mut rest = BTreeMap::new();
-        for (entry, slot) in entries.iter().zip(decoded) {
-            // Surface errors in tensor order so failures are deterministic
-            // regardless of worker interleaving.
-            match slot.expect("every tensor decoded or the read failed")? {
+        for entry in entries {
+            let lo = (entry.offset - start) as usize;
+            let page = &payload[lo..lo + entry.comp_len as usize];
+            match decode_tensor(entry, page)? {
                 DecodedTensor::Packed(cm) => {
                     layers.insert(entry.name.clone(), cm);
                 }
@@ -657,15 +610,14 @@ impl<R: Read + Seek> ArtifactReader<R> {
                 }
             }
         }
-        let raw_bytes: u64 = entries.iter().map(|t| t.raw_len).sum();
+        let decode_s = t_decode.elapsed().as_secs_f64();
         let stats = DecodeStats {
             tensors: entries.len(),
-            compressed_bytes: total_comp,
-            raw_bytes,
+            compressed_bytes: entries.iter().map(|t| t.comp_len).sum(),
+            raw_bytes: entries.iter().map(|t| t.raw_len).sum(),
             read_s,
-            decode_s: decode_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            decode_s,
             wall_s: t_start.elapsed().as_secs_f64(),
-            threads: workers.max(1),
         };
         Ok((
             CompressedDelta {
@@ -677,5 +629,25 @@ impl<R: Read + Seek> ArtifactReader<R> {
             },
             stats,
         ))
+    }
+}
+
+impl<T: AsRef<[u8]>> ArtifactReader<Cursor<T>> {
+    /// [`read_delta_with_stats`](Self::read_delta_with_stats) over an
+    /// artifact already in memory: pages decode straight from the
+    /// source's bytes, with no payload copy (`read_s` is then ~0).
+    pub(crate) fn read_delta_in_place(
+        &mut self,
+    ) -> Result<(CompressedDelta, DecodeStats), StoreError> {
+        // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
+        let t_start = Instant::now();
+        let (start, end) = self.payload_extent();
+        let payload = self
+            .source
+            .get_ref()
+            .as_ref()
+            .get(start as usize..end as usize)
+            .ok_or(StoreError::Truncated)?;
+        self.decode_payload(payload, start, t_start)
     }
 }

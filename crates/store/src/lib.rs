@@ -7,12 +7,14 @@
 //!
 //! * [`dza`] — the versioned little-endian `.dza` container: a manifest
 //!   (name, base-model lineage hash, quantization recipe, per-tensor
-//!   index) over per-tensor pages compressed with the `dz-lossless` paged
-//!   codec and double-checksummed (page CRC + manifest CRC of the raw
-//!   bytes). Written streaming, read with random access per tensor; whole
-//!   deltas load through a pipelined path that decodes tensors
-//!   concurrently while the next tensor streams off the source, and
-//!   reports measured throughput ([`DecodeStats`]).
+//!   index) over per-tensor pages in the `dz-lossless` paged container,
+//!   written stored (no entropy coding: on a CPU it costs more time than
+//!   the bytes it saves) and double-checksummed (page CRC + manifest CRC
+//!   of the raw bytes). Written streaming, read with random access per
+//!   tensor; whole deltas load in one serial pass — one read of the
+//!   payload, then each tensor checked and decoded in place — that
+//!   reports measured throughput ([`DecodeStats`]). Huffman pages from
+//!   earlier writers still read.
 //! * [`registry`] — a content-addressed on-disk zoo: artifacts live under
 //!   `<root>/<sha256>.dza`, identical deltas deduplicate, named refs map
 //!   variant names to hashes, and any file can be integrity-audited.

@@ -6,6 +6,13 @@
 //! content-addressed [`Registry`] on a miss and cached in memory under a
 //! least-recently-used byte budget, with per-artifact load accounting so
 //! the serving engine can charge real transfer sizes.
+//!
+//! A cold [`TieredDeltaStore::fetch_decoded`] costs about one read plus
+//! one CRC pass and the wire decode: artifacts hold stored pages (see the
+//! [`dza`](crate::dza) module doc for why entropy coding does not pay
+//! here), and the reader decodes them in one serial pass without copying
+//! them. Artifacts with Huffman pages from earlier writers still fetch,
+//! at the LUT decoder's rate.
 
 use crate::dza::{ArtifactReader, DecodeStats};
 use crate::error::StoreError;
@@ -169,8 +176,8 @@ impl LoadStats {
 }
 
 /// The result of one decoded fetch: tier and bytes as in [`FetchOutcome`],
-/// plus the reassembled delta and — when this fetch actually ran the
-/// decode pipeline — its measured statistics.
+/// plus the reassembled delta and — when this fetch actually decoded the
+/// artifact — its measured statistics.
 #[derive(Debug, Clone)]
 pub struct DecodedFetch {
     /// Which tier served the request.
@@ -185,17 +192,17 @@ pub struct DecodedFetch {
     pub raw_bytes: u64,
     /// The decoded delta.
     pub delta: Arc<CompressedDelta>,
-    /// Measured pipeline statistics; `None` when the decoded delta was
+    /// Measured load statistics; `None` when the decoded delta was
     /// already host-resident and no decode ran.
     pub decode: Option<DecodeStats>,
 }
 
-/// Cumulative measured decode throughput across every load that ran the
-/// pipeline. This is what replaces the serving cost model's static
+/// Cumulative measured decode throughput across every load that decoded
+/// an artifact. This is what replaces the serving cost model's static
 /// bytes-per-second deserialization constant.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecodeThroughput {
-    /// Loads that ran the decode pipeline.
+    /// Loads that decoded an artifact.
     pub loads: u64,
     /// Cumulative per-load statistics.
     pub stats: DecodeStats,
@@ -425,9 +432,9 @@ impl TieredDeltaStore {
 
     /// Fetches an artifact **decoded**: the compressed bytes move through
     /// the usual tiering (disk on a miss, host cache on a hit), then the
-    /// pipelined `.dza` read path reassembles the delta — tensors decoded
-    /// concurrently, reads overlapped with decode — and the measured
-    /// throughput is folded into [`decode_throughput`](Self::decode_throughput).
+    /// `.dza` reader reassembles the delta in one serial pass straight
+    /// from the fetched bytes and the measured throughput is folded into
+    /// [`decode_throughput`](Self::decode_throughput).
     /// A host hit whose decoded delta is still resident skips the decode
     /// entirely (`decode: None`). The decoded copy's raw bytes count
     /// against the host byte budget alongside the compressed bytes, with
@@ -447,7 +454,7 @@ impl TieredDeltaStore {
             }
         }
         let mut reader = ArtifactReader::open(Cursor::new(&outcome.data[..]))?;
-        let (delta, stats) = reader.read_delta_with_stats()?;
+        let (delta, stats) = reader.read_delta_in_place()?;
         let delta = Arc::new(delta);
         if let Some(resident) = self.resident.get_mut(id) {
             resident.decoded = Some(Arc::clone(&delta));

@@ -1,6 +1,8 @@
 //! Property-based store invariants: `write → read` is the identity for
 //! dense and 2:4-sparse payloads, and corrupted or truncated containers
-//! produce typed errors — never a panic, never silently wrong data.
+//! produce typed errors — never a panic, never silently wrong data. Each
+//! runs over the stored-page container the writer produces and over the
+//! Huffman-page container earlier writers produced.
 
 use dz_compress::codec::{CodecId, LowRankMatrix, PackedLayer, SignMatrix, SignScope};
 use dz_compress::pack::CompressedMatrix;
@@ -12,6 +14,8 @@ use dz_tensor::{Matrix, Rng};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::Cursor;
+
+mod support;
 
 fn dense_matrix(d_out: usize, d_in: usize, bits: u32, seed: u64) -> CompressedMatrix {
     let mut rng = Rng::seeded(seed);
@@ -106,10 +110,21 @@ fn arb_delta(
     }
 }
 
+/// The container as the writer writes it: every page stored.
 fn container(delta: &CompressedDelta) -> Vec<u8> {
     write_delta(Cursor::new(Vec::new()), "prop", sha256(b"base"), delta)
         .expect("write")
         .into_inner()
+}
+
+/// The same delta with Huffman pages, as earlier writers wrote it.
+fn huffman_container(delta: &CompressedDelta) -> Vec<u8> {
+    support::container_with_pages(delta, "prop", 2, dz_lossless::compress)
+}
+
+/// Both page modes every reader must accept.
+fn containers(delta: &CompressedDelta) -> [Vec<u8>; 2] {
+    [container(delta), huffman_container(delta)]
 }
 
 proptest! {
@@ -124,10 +139,28 @@ proptest! {
         rest_dim in 1usize..8,
     ) {
         let delta = arb_delta(seed, blocks, d_out, bits, rest_dim);
-        let bytes = container(&delta);
-        let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
-        let back = reader.read_delta().expect("read");
-        prop_assert_eq!(back, delta);
+        for bytes in containers(&delta) {
+            let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
+            let back = reader.read_delta().expect("read");
+            prop_assert_eq!(back, delta.clone());
+        }
+    }
+
+    #[test]
+    fn stored_and_huffman_containers_decode_to_equal_deltas(
+        seed in any::<u64>(),
+        blocks in 1usize..5,
+        d_out in 1usize..12,
+        bits in 2u32..5,
+    ) {
+        let delta = arb_delta(seed, blocks, d_out, bits, 4);
+        let [stored, huffman] = containers(&delta);
+        // The Huffman container really holds entropy-coded pages.
+        prop_assert!(huffman.len() < stored.len());
+        let stored = ArtifactReader::open(Cursor::new(&stored)).expect("open").read_delta().expect("read");
+        let huffman = ArtifactReader::open(Cursor::new(&huffman)).expect("open").read_delta().expect("read");
+        prop_assert_eq!(&stored, &huffman);
+        prop_assert_eq!(stored, delta);
     }
 
     #[test]
@@ -136,11 +169,12 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let delta = arb_delta(seed, 2, 6, 4, 4);
-        let bytes = container(&delta);
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        // Either opening fails, or reading any tensor fails; both must be
-        // typed errors. A truncated container can never round-trip.
-        if let Ok(mut reader) = ArtifactReader::open(Cursor::new(&bytes[..cut])) { prop_assert!(reader.read_delta().is_err()) }
+        for bytes in containers(&delta) {
+            let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
+            // Either opening fails, or reading any tensor fails; both must be
+            // typed errors. A truncated container can never round-trip.
+            if let Ok(mut reader) = ArtifactReader::open(Cursor::new(&bytes[..cut])) { prop_assert!(reader.read_delta().is_err()) }
+        }
     }
 
     #[test]
@@ -150,12 +184,13 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let delta = arb_delta(seed, 2, 6, 4, 4);
-        let bytes = container(&delta);
-        let mut corrupted = bytes.clone();
-        let i = pos.index(corrupted.len());
-        corrupted[i] ^= flip;
-        // The decoder must either reject the container or still produce
-        // exactly the original delta (e.g. a flip in dead padding).
-        if let Ok(mut reader) = ArtifactReader::open(Cursor::new(&corrupted)) { if let Ok(back) = reader.read_delta() { prop_assert_eq!(back, delta) } }
+        for bytes in containers(&delta) {
+            let mut corrupted = bytes.clone();
+            let i = pos.index(corrupted.len());
+            corrupted[i] ^= flip;
+            // The decoder must either reject the container or still produce
+            // exactly the original delta (e.g. a flip in dead padding).
+            if let Ok(mut reader) = ArtifactReader::open(Cursor::new(&corrupted)) { if let Ok(back) = reader.read_delta() { prop_assert_eq!(back, delta.clone()) } }
+        }
     }
 }
